@@ -1,15 +1,10 @@
-//! Microbenchmarks for the matching substrate: Hopcroft–Karp, regular
-//! multigraph decomposition and the MCBBM bottleneck assignment — the
-//! three components whose costs make up the locality-aware router's
-//! `Õ(m²n√n)` bound.
+//! Microbenchmarks for the matching substrate: Hopcroft–Karp and the
+//! MCBBM bottleneck assignment. Regular multigraph decomposition is timed
+//! on the routers' own column multigraphs in
+//! `crates/core/benches/matching_decompose.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qroute_core::grid_route::build_column_multigraph;
-use qroute_matching::{
-    bottleneck_assignment, decompose_regular, decompose_regular_euler, hopcroft_karp,
-};
-use qroute_perm::generators;
-use qroute_topology::Grid;
+use qroute_matching::{bottleneck_assignment, hopcroft_karp};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -28,23 +23,6 @@ fn bench_matching(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("hopcroft_karp", n), &adj, |b, adj| {
             b.iter(|| black_box(hopcroft_karp(n, n, black_box(adj)).size()))
-        });
-    }
-
-    for side in [8usize, 16, 32] {
-        let grid = Grid::new(side, side);
-        let pi = generators::random(grid.len(), 3);
-        group.bench_with_input(BenchmarkId::new("decompose_regular", side), &pi, |b, pi| {
-            b.iter(|| {
-                let mut mg = build_column_multigraph(grid, black_box(pi));
-                black_box(decompose_regular(&mut mg).unwrap().len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("decompose_euler", side), &pi, |b, pi| {
-            b.iter(|| {
-                let mut mg = build_column_multigraph(grid, black_box(pi));
-                black_box(decompose_regular_euler(&mut mg).unwrap().len())
-            })
         });
     }
 

@@ -1,5 +1,6 @@
-//! The 3-phase `GridRoute` of Alon, Chung and Graham, and the *naive* grid
-//! router baseline.
+//! The one 3-phase routing pipeline — the `GridRoute` of Alon, Chung and
+//! Graham on any Cartesian product `F1 □ F2` — with Algorithm 1 on top of
+//! it, and the *naive* staging baseline.
 //!
 //! `GridRoute(G, π; σ₁,…,σₙ)` routes in three rounds (§IV):
 //!
@@ -9,17 +10,24 @@
 //!    destination column;
 //! 3. **columns** — each column sends every qubit to its destination row.
 //!
-//! Each round routes paths with odd–even transposition ([`crate::line`]).
-//! The σ's come from a decomposition of the column multigraph `G[1,m]`
-//! into `m` perfect matchings plus an assignment of matchings to staging
-//! rows; the *naive* baseline does both arbitrarily, which is exactly what
-//! the locality-aware algorithm (in [`crate::local_grid`]) improves.
+//! Columns are copies of `F1` and rows copies of `F2`, each routed by its
+//! [`FactorRouter`]. A grid is `P_m □ P_n`, whose factors route by odd–even
+//! transposition ([`crate::line`]); cylinders and tori swap in cycle
+//! factors ([`crate::product_route`]). Every product is laid out row-major
+//! like a [`Grid`] of shape `|F1| × |F2|`, so the transpose retry of
+//! Algorithm 1 is the factor swap `F2 □ F1`.
+//!
+//! The σ's come from a *staging*: a decomposition of the column multigraph
+//! `G[1,m]` into `m` perfect matchings plus an assignment of matchings to
+//! staging rows. The naive staging does both arbitrarily, which is exactly
+//! what the locality-aware staging (in [`crate::local_grid`]) improves.
 
 use crate::line::{FirstParity, LineScratch};
+use crate::product_route::{FactorRouter, PathFactor};
 use crate::schedule::{RoutingSchedule, SwapLayer};
-use qroute_matching::{decompose_regular, BipartiteMultigraph, LabeledEdge};
+use qroute_matching::{decompose_regular, BipartiteMultigraph, EdgeId, LabeledEdge};
 use qroute_perm::Permutation;
-use qroute_topology::Grid;
+use qroute_topology::{Grid, Path};
 
 /// How each row/column line permutation is realized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,35 +39,40 @@ pub enum LineStrategy {
     BestParity,
 }
 
-/// One grid line (a row or a column) as an arithmetic progression of
-/// vertex ids — position `p` is vertex `base + stride * p` — paired with
-/// the *borrowed* target positions of its tokens. Rows and columns of a
-/// row-major grid are always progressions, so no per-line vertex vector
-/// is ever materialized.
-pub(crate) struct LineSpec<'a> {
-    /// Vertex id of position 0.
-    pub base: usize,
-    /// Id increment per position (1 for rows, `cols` for columns).
-    pub stride: usize,
-    /// `targets[p]` = destination position of the token at position `p`.
-    pub targets: &'a [usize],
+impl LineStrategy {
+    /// Route one path permutation with this strategy; the rounds live in
+    /// `scratch` until its next routing call.
+    pub(crate) fn route<'s>(
+        self,
+        targets: &[usize],
+        scratch: &'s mut LineScratch,
+    ) -> &'s [Vec<(usize, usize)>] {
+        match self {
+            LineStrategy::EvenFirst => scratch.route(targets, FirstParity::Even),
+            LineStrategy::BestParity => scratch.route_best(targets),
+        }
+    }
 }
 
-/// Route a set of vertex-disjoint lines in parallel; round `k` of every
-/// line is merged into one swap layer. Lines are routed one at a time
-/// through the shared `scratch`, so the whole pass allocates only the
-/// output layers.
-pub(crate) fn route_parallel_lines<'a>(
-    lines: impl Iterator<Item = LineSpec<'a>>,
+/// Route vertex-disjoint copies of `factor` in parallel. Copy `c` is an
+/// arithmetic progression of vertex ids — its position `p` is vertex
+/// `c·step + stride·p` — and `targets[c][p]` is the destination position
+/// of the token at position `p`; rows and columns of a row-major product
+/// are always progressions, so no per-line vertex vector is ever
+/// materialized. Round `k` of every copy is merged into one swap layer.
+/// Copies are routed one at a time through the shared `scratch`, so with
+/// path factors the whole pass allocates only the output layers.
+fn route_parallel_lines<F: FactorRouter>(
+    factor: &F,
+    targets: &[Vec<usize>],
+    (step, stride): (usize, usize),
     strategy: LineStrategy,
     scratch: &mut LineScratch,
 ) -> RoutingSchedule {
     let mut layers: Vec<SwapLayer> = Vec::new();
-    for line in lines {
-        let rounds = match strategy {
-            LineStrategy::EvenFirst => scratch.route(line.targets, FirstParity::Even),
-            LineStrategy::BestParity => scratch.route_best(line.targets),
-        };
+    for (c, line) in targets.iter().enumerate() {
+        let base = c * step;
+        let rounds = factor.route_line(line, strategy, scratch);
         for (k, round) in rounds.iter().enumerate() {
             if k == layers.len() {
                 layers.push(SwapLayer::default());
@@ -67,7 +80,7 @@ pub(crate) fn route_parallel_lines<'a>(
             layers[k].swaps.extend(
                 round
                     .iter()
-                    .map(|&(a, b)| (line.base + line.stride * a, line.base + line.stride * b)),
+                    .map(|&(a, b)| (base + stride * a, base + stride * b)),
             );
         }
     }
@@ -77,7 +90,7 @@ pub(crate) fn route_parallel_lines<'a>(
 /// Build the column multigraph `G[1,m]` of §IV-A for permutation `π`:
 /// one edge `j → j'` labeled `(i, i')` per qubit at `(i, j)` destined for
 /// `(i', j')`. Edges are inserted in row-major qubit order, making band
-/// extraction deterministic.
+/// extraction deterministic. `grid` may be the layout of any product.
 pub fn build_column_multigraph(grid: Grid, pi: &Permutation) -> BipartiteMultigraph {
     assert_eq!(grid.len(), pi.len(), "permutation size must match grid");
     let mut mg = BipartiteMultigraph::new(grid.cols());
@@ -88,6 +101,14 @@ pub fn build_column_multigraph(grid: Grid, pi: &Permutation) -> BipartiteMultigr
         }
     }
     mg
+}
+
+/// A grid as the product `P_m □ P_n`: its column and row factors.
+pub(crate) fn path_factors(grid: Grid) -> (PathFactor, PathFactor) {
+    (
+        PathFactor(Path::new(grid.rows())),
+        PathFactor(Path::new(grid.cols())),
+    )
 }
 
 /// `GridRoute(G, π; σ₁,…,σₙ)`: the 3-phase routing given staging
@@ -104,9 +125,24 @@ pub fn grid_route_with_sigmas(
     sigmas: &[Vec<usize>],
     strategy: LineStrategy,
 ) -> RoutingSchedule {
-    let m = grid.rows();
-    let n = grid.cols();
-    assert_eq!(pi.len(), grid.len(), "permutation size must match grid");
+    let (f1, f2) = path_factors(grid);
+    route_phases(grid, &f1, &f2, pi, sigmas, strategy)
+}
+
+/// `GridRoute(F1 □ F2, π; σ₁,…,σₙ)` on the product laid out as `shape`:
+/// phases 1 and 3 route the columns with `f1`, phase 2 the rows with `f2`.
+/// Panics as [`grid_route_with_sigmas`] does.
+pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
+    shape: Grid,
+    f1: &A,
+    f2: &B,
+    pi: &Permutation,
+    sigmas: &[Vec<usize>],
+    strategy: LineStrategy,
+) -> RoutingSchedule {
+    let m = shape.rows();
+    let n = shape.cols();
+    assert_eq!(pi.len(), shape.len(), "permutation size must match grid");
     assert_eq!(sigmas.len(), n, "need one σ per column");
     for (j, sigma) in sigmas.iter().enumerate() {
         assert_eq!(sigma.len(), m, "σ_{j} must cover all rows");
@@ -125,7 +161,7 @@ pub fn grid_route_with_sigmas(
     let mut col_targets = vec![vec![usize::MAX; m]; n];
     for j in 0..n {
         for (i, &r) in sigmas[j].iter().enumerate() {
-            let (ip, jp) = grid.coords(pi.apply(grid.index(i, j)));
+            let (ip, jp) = shape.coords(pi.apply(shape.index(i, j)));
             assert_eq!(
                 row_targets[r][j],
                 usize::MAX,
@@ -140,29 +176,82 @@ pub fn grid_route_with_sigmas(
         }
     }
 
-    let mut schedule = RoutingSchedule::empty();
     let mut scratch = LineScratch::new();
-    // Column j is vertices {j, j+n, …}; row r is {r·n, r·n+1, …}. Targets
-    // are borrowed straight from the phase tables — no per-line clones.
+    // Column j is vertices {j, j+n, …} (step 1, stride n); row r is
+    // {r·n, r·n+1, …} (step n, stride 1). Targets are borrowed straight
+    // from the phase tables — no per-line clones.
     // Phase 1: columns permuted by σ.
-    schedule.extend(route_parallel_lines(
-        (0..n).map(|j| LineSpec { base: j, stride: n, targets: &sigmas[j] }),
-        strategy,
-        &mut scratch,
-    ));
+    let phase1 = route_parallel_lines(f1, sigmas, (1, n), strategy, &mut scratch);
     // Phase 2: rows to destination columns.
-    schedule.extend(route_parallel_lines(
-        (0..m).map(|r| LineSpec { base: r * n, stride: 1, targets: &row_targets[r] }),
-        strategy,
-        &mut scratch,
-    ));
+    let phase2 = route_parallel_lines(f2, &row_targets, (n, 1), strategy, &mut scratch);
     // Phase 3: columns to destination rows.
-    schedule.extend(route_parallel_lines(
-        (0..n).map(|j| LineSpec { base: j, stride: n, targets: &col_targets[j] }),
-        strategy,
-        &mut scratch,
-    ));
+    let phase3 = route_parallel_lines(f1, &col_targets, (1, n), strategy, &mut scratch);
+    let mut schedule = RoutingSchedule::empty();
+    for phase in [phase1, phase2, phase3] {
+        schedule.extend(phase);
+    }
     schedule
+}
+
+/// σ from `m` perfect matchings and their staging rows: every qubit of
+/// matching `k` is staged in row `row_of[k]`.
+pub(crate) fn sigmas_from(
+    shape: Grid,
+    mg: &BipartiteMultigraph,
+    matchings: &[Vec<EdgeId>],
+    row_of: &[usize],
+) -> Vec<Vec<usize>> {
+    let mut sigmas = vec![vec![usize::MAX; shape.rows()]; shape.cols()];
+    for (matching, &r) in matchings.iter().zip(row_of) {
+        for &id in matching {
+            let e = mg.edge(id);
+            debug_assert_eq!(sigmas[e.left][e.src_row], usize::MAX);
+            sigmas[e.left][e.src_row] = r;
+        }
+    }
+    sigmas
+}
+
+/// A staging: the step of the pipeline that picks the staging rows σ.
+/// [`NaiveOptions`] stages arbitrarily, [`crate::LocalRouteOptions`] by
+/// locality.
+pub(crate) trait Staging {
+    /// One 3-phase pass on the product laid out as `shape`: pick σ for
+    /// `π`, then route the three line phases with `f1` and `f2`.
+    fn route_once<A: FactorRouter, B: FactorRouter>(
+        &self,
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+    ) -> RoutingSchedule;
+}
+
+/// Algorithm 1 on the product `F1 □ F2` laid out as `shape`: one pass with
+/// `staging`; with `try_transpose`, a second pass on the transposed
+/// instance (the factor swap `F2 □ F1`), keeping the shallower schedule in
+/// original vertex ids; then, with `compact`, ASAP compaction.
+pub(crate) fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
+    shape: Grid,
+    f1: &A,
+    f2: &B,
+    pi: &Permutation,
+    staging: &S,
+    try_transpose: bool,
+    compact: bool,
+) -> RoutingSchedule {
+    let mut best = staging.route_once(shape, f1, f2, pi);
+    if try_transpose {
+        let (shape_t, pi_t) = transpose_instance(shape, pi);
+        let alt = untranspose_schedule(shape_t, staging.route_once(shape_t, f2, f1, &pi_t));
+        if alt.depth() < best.depth() {
+            best = alt;
+        }
+    }
+    if compact {
+        best = best.compact(shape.len());
+    }
+    best
 }
 
 /// Options for the naive grid router.
@@ -228,34 +317,32 @@ pub fn transpose_instance(grid: Grid, pi: &Permutation) -> (Grid, Permutation) {
 
 /// Map a schedule computed on the transposed grid back to original vertex
 /// ids.
-pub fn untranspose_schedule(grid_t: Grid, schedule: RoutingSchedule) -> RoutingSchedule {
-    let layers = schedule
-        .layers
-        .into_iter()
-        .map(|layer| {
-            SwapLayer::new(
-                layer
-                    .swaps
-                    .into_iter()
-                    .map(|(u, v)| (grid_t.transpose_vertex(u), grid_t.transpose_vertex(v)))
-                    .collect(),
-            )
-        })
-        .collect();
-    RoutingSchedule::from_layers(layers)
+pub fn untranspose_schedule(grid_t: Grid, mut schedule: RoutingSchedule) -> RoutingSchedule {
+    // In place: a side-128 schedule holds over a million swaps, and
+    // `algorithm1` still holds the other orientation's schedule.
+    for layer in &mut schedule.layers {
+        for (u, v) in &mut layer.swaps {
+            (*u, *v) = (grid_t.transpose_vertex(*u), grid_t.transpose_vertex(*v));
+        }
+    }
+    schedule
 }
 
-/// The naive 3-phase grid router: decompose `G[1,m]` into `m` perfect
-/// matchings *arbitrarily* and assign matching `k` to staging row `k` in
-/// extraction order — the Alon–Chung–Graham baseline the paper improves.
-pub fn naive_grid_route(grid: Grid, pi: &Permutation, opts: &NaiveOptions) -> RoutingSchedule {
-    let route_once = |grid: Grid, pi: &Permutation| -> RoutingSchedule {
+impl Staging for NaiveOptions {
+    /// Decompose `G[1,m]` into `m` perfect matchings *arbitrarily* and
+    /// stage matching `k` in row `k` in extraction order.
+    fn route_once<A: FactorRouter, B: FactorRouter>(
+        &self,
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+    ) -> RoutingSchedule {
         // One cooperative cancellation probe per 3-phase pass.
         crate::budget::checkpoint();
-        let mut mg = build_column_multigraph(grid, pi);
-        let m = grid.rows();
-        let n = grid.cols();
-        let matchings = match opts.randomize {
+        let mut mg = build_column_multigraph(shape, pi);
+        let m = shape.rows();
+        let matchings = match self.randomize {
             None => decompose_regular(&mut mg).expect("column multigraph is always m-regular"),
             Some(seed) => {
                 // Adversarially arbitrary: shuffle the candidate edge
@@ -276,31 +363,20 @@ pub fn naive_grid_route(grid: Grid, pi: &Permutation, opts: &NaiveOptions) -> Ro
         debug_assert_eq!(matchings.len(), m);
         // Row assignment: extraction order, or random when randomized.
         let mut row_of: Vec<usize> = (0..m).collect();
-        if let Some(seed) = opts.randomize {
+        if let Some(seed) = self.randomize {
             seeded_shuffle(&mut row_of, seed ^ 0xABCD);
         }
-        let mut sigmas = vec![vec![usize::MAX; m]; n];
-        for (k, matching) in matchings.iter().enumerate() {
-            for &id in matching {
-                let e = mg.edge(id);
-                sigmas[e.left][e.src_row] = row_of[k];
-            }
-        }
-        grid_route_with_sigmas(grid, pi, &sigmas, opts.line)
-    };
+        let sigmas = sigmas_from(shape, &mg, &matchings, &row_of);
+        route_phases(shape, f1, f2, pi, &sigmas, self.line)
+    }
+}
 
-    let mut best = route_once(grid, pi);
-    if opts.try_transpose {
-        let (gt, pit) = transpose_instance(grid, pi);
-        let alt = untranspose_schedule(gt, route_once(gt, &pit));
-        if alt.depth() < best.depth() {
-            best = alt;
-        }
-    }
-    if opts.compact {
-        best = best.compact(grid.len());
-    }
-    best
+/// The naive 3-phase grid router: decompose `G[1,m]` into `m` perfect
+/// matchings *arbitrarily* and assign matching `k` to staging row `k` in
+/// extraction order — the Alon–Chung–Graham baseline the paper improves.
+pub fn naive_grid_route(grid: Grid, pi: &Permutation, opts: &NaiveOptions) -> RoutingSchedule {
+    let (f1, f2) = path_factors(grid);
+    algorithm1(grid, &f1, &f2, pi, opts, opts.try_transpose, opts.compact)
 }
 
 #[cfg(test)]

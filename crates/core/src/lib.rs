@@ -18,17 +18,20 @@
 //!   pass shared by all routers.
 //! * [`line`](mod@line) — odd–even transposition routing on a path: the primitive
 //!   each phase of the 3-phase grid algorithm runs on rows/columns.
-//! * [`grid_route`] — `GridRoute(G, π; σ₁,…,σₙ)` (Alon–Chung–Graham
-//!   3-phase routing) and the *naive* baseline with arbitrary matchings.
-//! * [`local_grid`] — **`LocalGridRoute`** (Algorithm 2: doubling window
-//!   search + `Δ` metric + MCBBM row assignment) and the transpose-trying
-//!   main procedure (Algorithm 1).
+//! * [`grid_route`] — the one 3-phase pipeline, `GridRoute(G, π; σ₁,…,σₙ)`
+//!   (Alon–Chung–Graham) on any product `F1 □ F2` of factor routers, with
+//!   Algorithm 1 on top (transpose retry = factor swap, compaction) and
+//!   the *naive* staging with arbitrary matchings. A grid is `P □ P`.
+//! * [`local_grid`] — **`LocalGridRoute`**, the locality-aware staging
+//!   (Algorithm 2: doubling window search + `Δ` metric + MCBBM row
+//!   assignment), and the main procedure (Algorithm 1) on grids.
 //! * [`token_swap`] — the approximate token swapping (ATS) baseline of
 //!   Miltzow et al. (4-approximation) with greedy parallelization, as used
 //!   in the transpiler of Childs–Schoute–Unsal that the paper compares
 //!   against; plus a simple serial cycle router.
-//! * [`product_route`] — the Cartesian-product extension (§IV): 3-phase
-//!   routing on `G1 □ G2` with pluggable factor routers (paths, cycles).
+//! * [`product_route`] — the Cartesian-product extension (§IV): the path
+//!   and cycle factor routers, and `product_route`, the same pipeline and
+//!   [`LocalRouteOptions`] on `G1 □ G2` (cylinders, tori).
 //! * [`pathfinder`] — congestion-negotiated per-token A* routing (the
 //!   PathFinder rip-up-and-reroute idiom from FPGA routing), built for
 //!   sparse partial permutations where the matching-based routers pay

@@ -1,5 +1,6 @@
-//! **`LocalGridRoute`** — the paper's locality-aware routing algorithm
-//! (Algorithm 2) and the transpose-trying main procedure (Algorithm 1).
+//! **`LocalGridRoute`** — the paper's locality-aware staging (Algorithm 2)
+//! and, through the shared 3-phase pipeline of [`crate::grid_route`], the
+//! transpose-trying main procedure (Algorithm 1).
 //!
 //! The naive 3-phase router decomposes the column multigraph `G[1,m]` into
 //! `m` perfect matchings arbitrarily; a qubit two rows from its destination
@@ -16,11 +17,17 @@
 //!    matching on `H(P, [m])` under the locality metric
 //!    `Δ(M, r) = Σ |i_j − r| + Σ |i'_j − r|`, minimizing the worst
 //!    detour any matching's qubits must take to reach their staging row.
+//!
+//! The staging runs on any product `F1 □ F2` with `|i − r|` replaced by
+//! the distance in `F1` (row bands follow index order and do not wrap
+//! around a cycle); [`crate::product_route`] routes cylinders and tori
+//! with it.
 
 use crate::grid_route::{
-    build_column_multigraph, grid_route_with_sigmas, transpose_instance, untranspose_schedule,
-    LineStrategy,
+    algorithm1, build_column_multigraph, path_factors, route_phases, sigmas_from, LineStrategy,
+    Staging,
 };
+use crate::product_route::FactorRouter;
 use crate::schedule::RoutingSchedule;
 use qroute_matching::{bottleneck_assignment, min_sum_assignment, BipartiteMultigraph, EdgeId};
 use qroute_perm::Permutation;
@@ -255,83 +262,94 @@ fn rebalance_parallel_edges(mg: &BipartiteMultigraph, matchings: &mut [Vec<EdgeI
 /// The locality metric of §IV-A: `Δ(M, r) = Σ_j |i_j − r| + Σ_j |i'_j − r|`
 /// over the edges (qubits) of matching `M`.
 pub fn delta_metric(mg: &BipartiteMultigraph, matching: &[EdgeId], row: usize) -> u64 {
+    delta_in(mg, matching, row, &usize::abs_diff)
+}
+
+/// `Δ(M, r)` with `|i − r|` replaced by the column factor's distance.
+fn delta_in(
+    mg: &BipartiteMultigraph,
+    matching: &[EdgeId],
+    row: usize,
+    dist: &impl Fn(usize, usize) -> usize,
+) -> u64 {
     matching
         .iter()
         .map(|&id| {
             let e = mg.edge(id);
-            (e.src_row.abs_diff(row) + e.dst_row.abs_diff(row)) as u64
+            (dist(e.src_row, row) + dist(e.dst_row, row)) as u64
         })
         .sum()
 }
 
-/// Lines 19–23: assign matchings to staging rows and build the σ's.
-fn build_sigmas(
-    grid: Grid,
+/// Lines 19–23: the staging row of every matching, by `Δ` measured with
+/// the column factor's distance `dist`.
+fn assign_rows(
     mg: &BipartiteMultigraph,
     matchings: &[Vec<EdgeId>],
     assignment: AssignmentStrategy,
-) -> Vec<Vec<usize>> {
-    let m = grid.rows();
-    let n = grid.cols();
-    debug_assert_eq!(matchings.len(), m);
-
-    let row_of: Vec<usize> = match assignment {
-        AssignmentStrategy::InOrder => (0..m).collect(),
+    dist: impl Fn(usize, usize) -> usize,
+) -> Vec<usize> {
+    let m = matchings.len();
+    if assignment == AssignmentStrategy::InOrder {
+        return (0..m).collect();
+    }
+    let weights: Vec<Vec<u64>> = matchings
+        .iter()
+        .map(|mt| (0..m).map(|r| delta_in(mg, mt, r, &dist)).collect())
+        .collect();
+    let cap = match assignment {
         AssignmentStrategy::Bottleneck => {
-            let weights: Vec<Vec<u64>> = matchings
-                .iter()
-                .map(|mt| (0..m).map(|r| delta_metric(mg, mt, r)).collect())
-                .collect();
             let res = bottleneck_assignment(&weights);
             debug_assert_eq!(
                 res.cardinality, m,
                 "H is complete bipartite; must be perfect"
             );
-            // The bottleneck solver returns *an arbitrary* assignment
-            // achieving the optimal bottleneck; break ties by minimizing
-            // the total Δ among assignments that respect the cap, so the
-            // non-critical matchings also stage as close to home as they
-            // can. Capped pairs get a penalty weight large enough never to
-            // be chosen while a cap-respecting assignment exists (one does:
-            // the bottleneck solver just found it).
-            const PENALTY: i64 = 1 << 40;
-            let capped: Vec<Vec<i64>> = weights
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|&w| {
-                            if w <= res.bottleneck {
-                                w as i64
-                            } else {
-                                PENALTY
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let (assignment, total) = min_sum_assignment(&capped);
-            debug_assert!(total < PENALTY, "cap-respecting assignment must exist");
-            assignment
+            res.bottleneck
         }
-        AssignmentStrategy::MinSum => {
-            let cost: Vec<Vec<i64>> = matchings
-                .iter()
-                .map(|mt| (0..m).map(|r| delta_metric(mg, mt, r) as i64).collect())
-                .collect();
-            min_sum_assignment(&cost).0
-        }
+        _ => u64::MAX,
     };
+    // The bottleneck solver returns *an arbitrary* assignment achieving
+    // the optimal bottleneck; break ties by minimizing the total Δ among
+    // assignments that respect the cap, so the non-critical matchings also
+    // stage as close to home as they can. Capped pairs get a penalty
+    // weight large enough never to be chosen while a cap-respecting
+    // assignment exists (one does: the bottleneck solver just found it).
+    // `MinSum` is the same assignment without a cap.
+    const PENALTY: i64 = 1 << 40;
+    let capped: Vec<Vec<i64>> = weights
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|&w| if w <= cap { w as i64 } else { PENALTY })
+                .collect()
+        })
+        .collect();
+    let (row_of, total) = min_sum_assignment(&capped);
+    debug_assert!(total < PENALTY, "cap-respecting assignment must exist");
+    row_of
+}
 
-    let mut sigmas = vec![vec![usize::MAX; m]; n];
-    for (k, matching) in matchings.iter().enumerate() {
-        let r = row_of[k];
-        for &id in matching {
-            let e = mg.edge(id);
-            debug_assert_eq!(sigmas[e.left][e.src_row], usize::MAX);
-            sigmas[e.left][e.src_row] = r;
-        }
+impl Staging for LocalRouteOptions {
+    /// Algorithm 2 on `F1 □ F2`: locality-aware matchings, row assignment
+    /// by `Δ` in `F1`'s distance, and the three line phases.
+    fn route_once<A: FactorRouter, B: FactorRouter>(
+        &self,
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+    ) -> RoutingSchedule {
+        let sigmas = qroute_obs::trace::span("locality.matchings", || {
+            let mut mg = build_column_multigraph(shape, pi);
+            let mut matchings = find_local_matchings(shape, &mut mg, self.window);
+            rebalance_parallel_edges(&mg, &mut matchings);
+            let row_of = assign_rows(&mg, &matchings, self.assignment, |u, v| f1.dist(u, v));
+            sigmas_from(shape, &mg, &matchings, &row_of)
+        });
+        qroute_obs::trace::span("locality.line_routing", || {
+            route_phases(shape, f1, f2, pi, &sigmas, self.line)
+        })
     }
-    sigmas
 }
 
 /// Algorithm 2, `LocalGridRoute(G, π)`: locality-aware matchings, row
@@ -342,34 +360,16 @@ pub fn local_grid_route_single(
     pi: &Permutation,
     opts: &LocalRouteOptions,
 ) -> RoutingSchedule {
-    assert_eq!(grid.len(), pi.len(), "permutation size must match grid");
-    let sigmas = qroute_obs::trace::span("locality.matchings", || {
-        let mut mg = build_column_multigraph(grid, pi);
-        let mut matchings = find_local_matchings(grid, &mut mg, opts.window);
-        rebalance_parallel_edges(&mg, &mut matchings);
-        build_sigmas(grid, &mg, &matchings, opts.assignment)
-    });
-    qroute_obs::trace::span("locality.line_routing", || {
-        grid_route_with_sigmas(grid, pi, &sigmas, opts.line)
-    })
+    let (f1, f2) = path_factors(grid);
+    opts.route_once(grid, &f1, &f2, pi)
 }
 
 /// Algorithm 1, the main procedure: run `LocalGridRoute` on `(G, π)` and —
 /// when `opts.try_transpose` — on `(Gᵀ, πᵀ)`, returning the shallower
 /// schedule (in original vertex ids), optionally compacted.
 pub fn main_procedure(grid: Grid, pi: &Permutation, opts: &LocalRouteOptions) -> RoutingSchedule {
-    let mut best = local_grid_route_single(grid, pi, opts);
-    if opts.try_transpose {
-        let (gt, pit) = transpose_instance(grid, pi);
-        let alt = untranspose_schedule(gt, local_grid_route_single(gt, &pit, opts));
-        if alt.depth() < best.depth() {
-            best = alt;
-        }
-    }
-    if opts.compact {
-        best = best.compact(grid.len());
-    }
-    best
+    let (f1, f2) = path_factors(grid);
+    algorithm1(grid, &f1, &f2, pi, opts, opts.try_transpose, opts.compact)
 }
 
 /// Convenience alias for [`main_procedure`] with default options.

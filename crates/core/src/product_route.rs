@@ -1,28 +1,28 @@
-//! The Cartesian-product extension of §IV: 3-phase locality-aware routing
-//! on `G1 □ G2` with pluggable factor routers.
+//! Routing on Cartesian products `G1 □ G2` (§IV): the factor routers the
+//! one 3-phase pipeline of [`crate::grid_route`] runs on, and
+//! [`product_route`], Algorithm 1 on a product.
 //!
 //! The grid algorithm only uses two properties of rows/columns: each
 //! "column" is a copy of `G1`, each "row" a copy of `G2`, and both factors
-//! admit a permutation router. Replacing odd–even transposition with a
-//! router for the factor (and `|i − r|` with the factor's graph distance in
-//! the `Δ` metric) yields routing for cylinders (`P □ C`), tori (`C □ C`)
-//! and any other product. As the paper notes, the locality optimization is
-//! most meaningful when the factors are path-like.
+//! admit a permutation router. A grid is `P □ P`, both factors routed by
+//! odd–even transposition ([`PathFactor`]). Replacing a factor with a
+//! cycle ([`CycleFactor`]), and `|i − r|` with the factor's graph distance
+//! in the `Δ` metric, yields routing for cylinders (`P □ C`), tori
+//! (`C □ C`) and any other product. [`product_route`] takes the same
+//! [`LocalRouteOptions`] as the grid router, so on `P_m □ P_n` it is
+//! swap-for-swap [`crate::local_grid::main_procedure`] on the `m × n`
+//! grid. As the paper notes, the locality optimization is most meaningful
+//! when the factors are path-like.
 
-use crate::line::route_line_best;
-use crate::local_grid::AssignmentStrategy;
-use crate::schedule::{RoutingSchedule, SwapLayer};
-use qroute_matching::{
-    bottleneck_assignment, min_sum_assignment, BipartiteMultigraph, EdgeId, LabeledEdge,
-};
+use crate::grid_route::{algorithm1, LineStrategy};
+use crate::line::LineScratch;
+use crate::local_grid::LocalRouteOptions;
+use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
-use qroute_topology::{Cycle, Path, Product};
+use qroute_topology::{Cycle, Grid, Path, Product};
+use std::borrow::Cow;
 
 /// A permutation router for a one-dimensional factor graph.
-///
-/// `route(targets)` must return rounds of disjoint swaps over factor
-/// vertices (each swapped pair must be a factor edge), realizing
-/// `targets[p]` = destination of the token at factor vertex `p`.
 pub trait FactorRouter {
     /// Number of vertices of the factor graph.
     fn len(&self) -> usize;
@@ -32,8 +32,16 @@ pub trait FactorRouter {
     }
     /// Graph distance in the factor.
     fn dist(&self, u: usize, v: usize) -> usize;
-    /// Route a permutation of the factor's vertices.
-    fn route(&self, targets: &[usize]) -> Vec<Vec<(usize, usize)>>;
+    /// Route a permutation of the factor's vertices: rounds of disjoint
+    /// swaps over factor edges realizing `targets[p]` = destination of the
+    /// token at factor vertex `p`. The rounds may borrow `scratch`, so one
+    /// phase routes every copy of the factor through the same buffers.
+    fn route_line<'s>(
+        &self,
+        targets: &[usize],
+        strategy: LineStrategy,
+        scratch: &'s mut LineScratch,
+    ) -> Cow<'s, [Vec<(usize, usize)>]>;
 }
 
 /// Path factor routed by odd–even transposition.
@@ -47,8 +55,13 @@ impl FactorRouter for PathFactor {
     fn dist(&self, u: usize, v: usize) -> usize {
         self.0.dist(u, v)
     }
-    fn route(&self, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
-        route_line_best(targets)
+    fn route_line<'s>(
+        &self,
+        targets: &[usize],
+        strategy: LineStrategy,
+        scratch: &'s mut LineScratch,
+    ) -> Cow<'s, [Vec<(usize, usize)>]> {
+        Cow::Borrowed(strategy.route(targets, scratch))
     }
 }
 
@@ -64,7 +77,13 @@ pub struct CycleFactor(pub Cycle);
 
 impl CycleFactor {
     /// Route after cutting the edge `(c, c+1 mod n)`.
-    fn route_with_cut(&self, targets: &[usize], cut: usize) -> Vec<Vec<(usize, usize)>> {
+    fn route_with_cut(
+        &self,
+        targets: &[usize],
+        cut: usize,
+        strategy: LineStrategy,
+        scratch: &mut LineScratch,
+    ) -> Vec<Vec<(usize, usize)>> {
         let n = self.0.len();
         // Path order after cutting (c, c+1): c+1, c+2, …, c.
         let start = (cut + 1) % n;
@@ -74,12 +93,13 @@ impl CycleFactor {
         for v in 0..n {
             path_targets[to_path(v)] = to_path(targets[v]);
         }
-        route_line_best(&path_targets)
-            .into_iter()
+        strategy
+            .route(&path_targets, scratch)
+            .iter()
             .map(|round| {
                 round
-                    .into_iter()
-                    .map(|(a, b)| (to_cycle(a), to_cycle(b)))
+                    .iter()
+                    .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
                     .collect()
             })
             .collect()
@@ -123,66 +143,25 @@ impl FactorRouter for CycleFactor {
     fn dist(&self, u: usize, v: usize) -> usize {
         self.0.dist(u, v)
     }
-    fn route(&self, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
+    fn route_line<'s>(
+        &self,
+        targets: &[usize],
+        strategy: LineStrategy,
+        scratch: &'s mut LineScratch,
+    ) -> Cow<'s, [Vec<(usize, usize)>]> {
         let best_cut = self.least_crossed_cut(targets);
-        let a = self.route_with_cut(targets, best_cut);
+        let a = self.route_with_cut(targets, best_cut, strategy, scratch);
         if best_cut == self.len() - 1 {
-            return a;
+            return Cow::Owned(a);
         }
-        let b = self.route_with_cut(targets, self.len() - 1);
-        if b.len() < a.len() {
-            b
-        } else {
-            a
-        }
+        let b = self.route_with_cut(targets, self.len() - 1, strategy, scratch);
+        Cow::Owned(if b.len() < a.len() { b } else { a })
     }
 }
 
-/// Options for [`product_route`].
-#[derive(Debug, Clone, Copy)]
-pub struct ProductRouteOptions {
-    /// Row-assignment strategy for staging.
-    pub assignment: AssignmentStrategy,
-    /// Use the doubling band search (`true`) or extract matchings from the
-    /// whole multigraph (`false`).
-    pub doubling_windows: bool,
-    /// Apply ASAP depth compaction to the result.
-    pub compact: bool,
-}
-
-impl Default for ProductRouteOptions {
-    fn default() -> ProductRouteOptions {
-        ProductRouteOptions {
-            assignment: AssignmentStrategy::Bottleneck,
-            doubling_windows: true,
-            compact: true,
-        }
-    }
-}
-
-fn band_can_match(mg: &BipartiteMultigraph, band: &[EdgeId]) -> bool {
-    let n = mg.cols();
-    if band.len() < n {
-        return false;
-    }
-    let mut left = vec![false; n];
-    let mut right = vec![false; n];
-    let (mut lc, mut rc) = (0, 0);
-    for &id in band {
-        let e = mg.edge(id);
-        if !left[e.left] {
-            left[e.left] = true;
-            lc += 1;
-        }
-        if !right[e.right] {
-            right[e.right] = true;
-            rc += 1;
-        }
-    }
-    lc == n && rc == n
-}
-
-/// Locality-aware 3-phase routing on `G1 □ G2`.
+/// Algorithm 1 on `G1 □ G2`: the locality-aware staging with `Δ` in `G1`'s
+/// distance, three line phases, the factor swap `G2 □ G1` as the transpose
+/// retry, and compaction, each as `opts` selects.
 ///
 /// `f1` routes within copies of `G1` (the "columns", indexed by the second
 /// coordinate); `f2` routes within copies of `G2` (the "rows").
@@ -194,181 +173,24 @@ pub fn product_route<F1: FactorRouter, F2: FactorRouter>(
     f1: &F1,
     f2: &F2,
     pi: &Permutation,
-    opts: &ProductRouteOptions,
+    opts: &LocalRouteOptions,
 ) -> RoutingSchedule {
-    let m = f1.len();
-    let n = f2.len();
-    assert_eq!(m, product.factor1().len(), "f1 size mismatch");
-    assert_eq!(n, product.factor2().len(), "f2 size mismatch");
+    assert_eq!(f1.len(), product.factor1().len(), "f1 size mismatch");
+    assert_eq!(f2.len(), product.factor2().len(), "f2 size mismatch");
     assert_eq!(pi.len(), product.len(), "permutation size mismatch");
-
-    // Column multigraph over second coordinates; labels are first
-    // coordinates.
-    let mut mg = BipartiteMultigraph::new(n);
-    for u in 0..m {
-        for v in 0..n {
-            let (up, vp) = product.coords(pi.apply(product.index(u, v)));
-            mg.add_edge(LabeledEdge { left: v, right: vp, src_row: u, dst_row: up });
-        }
-    }
-
-    // Matching search (bands over first-coordinate indices; for path-like
-    // factors index order is the natural linear order).
-    let mut matchings: Vec<Vec<EdgeId>> = Vec::with_capacity(m);
-    if opts.doubling_windows {
-        let mut w = 0usize;
-        while matchings.len() < m {
-            let mut r = 0usize;
-            while r < m {
-                let hi = (r + w).min(m - 1);
-                let band = mg.band_edges((r, hi));
-                if band_can_match(&mg, &band) {
-                    matchings.extend(mg.extract_perfect_matchings(&band));
-                }
-                r += w + 1;
-            }
-            w = if w == 0 { 1 } else { w * 2 };
-        }
-    } else {
-        let all = mg.alive_edges();
-        matchings = mg.extract_perfect_matchings(&all);
-    }
-    assert_eq!(
-        matchings.len(),
-        m,
-        "regular multigraph must yield m matchings"
-    );
-
-    // Δ with factor-1 distances.
-    let delta = |matching: &[EdgeId], r: usize| -> u64 {
-        matching
-            .iter()
-            .map(|&id| {
-                let e = mg.edge(id);
-                (f1.dist(e.src_row, r) + f1.dist(e.dst_row, r)) as u64
-            })
-            .sum()
-    };
-    let row_of: Vec<usize> = match opts.assignment {
-        AssignmentStrategy::InOrder => (0..m).collect(),
-        AssignmentStrategy::Bottleneck => {
-            let weights: Vec<Vec<u64>> = matchings
-                .iter()
-                .map(|mt| (0..m).map(|r| delta(mt, r)).collect())
-                .collect();
-            bottleneck_assignment(&weights)
-                .assignment
-                .into_iter()
-                .map(|r| r.expect("complete H has a perfect assignment"))
-                .collect()
-        }
-        AssignmentStrategy::MinSum => {
-            let cost: Vec<Vec<i64>> = matchings
-                .iter()
-                .map(|mt| (0..m).map(|r| delta(mt, r) as i64).collect())
-                .collect();
-            min_sum_assignment(&cost).0
-        }
-    };
-
-    // σ's and phase targets.
-    let mut sigmas = vec![vec![usize::MAX; m]; n];
-    for (k, matching) in matchings.iter().enumerate() {
-        for &id in matching {
-            let e = mg.edge(id);
-            sigmas[e.left][e.src_row] = row_of[k];
-        }
-    }
-    let mut row_targets = vec![vec![usize::MAX; n]; m];
-    let mut col_targets = vec![vec![usize::MAX; m]; n];
-    for v in 0..n {
-        for (u, &r) in sigmas[v].iter().enumerate() {
-            let (up, vp) = product.coords(pi.apply(product.index(u, v)));
-            assert_eq!(row_targets[r][v], usize::MAX, "staging collision");
-            row_targets[r][v] = vp;
-            assert_eq!(col_targets[vp][r], usize::MAX, "matching property violated");
-            col_targets[vp][r] = up;
-        }
-    }
-
-    // Assemble the three phases.
-    let mut schedule = RoutingSchedule::empty();
-    let merge = |rounds_per_line: Vec<Vec<Vec<(usize, usize)>>>,
-                 line_verts: &dyn Fn(usize) -> Vec<usize>|
-     -> RoutingSchedule {
-        let depth = rounds_per_line.iter().map(Vec::len).max().unwrap_or(0);
-        let mut layers = Vec::with_capacity(depth);
-        for k in 0..depth {
-            let mut layer = SwapLayer::default();
-            for (idx, rounds) in rounds_per_line.iter().enumerate() {
-                if let Some(round) = rounds.get(k) {
-                    let verts = line_verts(idx);
-                    layer
-                        .swaps
-                        .extend(round.iter().map(|&(a, b)| (verts[a], verts[b])));
-                }
-            }
-            layers.push(layer);
-        }
-        RoutingSchedule::from_layers(layers)
-    };
-
-    // Phase 1: columns by σ.
-    let rounds: Vec<_> = (0..n).map(|v| f1.route(&sigmas[v])).collect();
-    schedule.extend(merge(rounds, &|v| product.g1_copy(v)));
-    // Phase 2: rows to destination columns.
-    let rounds: Vec<_> = (0..m).map(|r| f2.route(&row_targets[r])).collect();
-    schedule.extend(merge(rounds, &|r| product.g2_copy(r)));
-    // Phase 3: columns to destination rows.
-    let rounds: Vec<_> = (0..n).map(|v| f1.route(&col_targets[v])).collect();
-    schedule.extend(merge(rounds, &|v| product.g1_copy(v)));
-
-    if opts.compact {
-        schedule = schedule.compact(product.len());
-    }
-    schedule
+    let shape = Grid::new(f1.len(), f2.len());
+    algorithm1(shape, f1, f2, pi, opts, opts.try_transpose, opts.compact)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local_grid::{AssignmentStrategy, WindowMode};
     use qroute_perm::generators;
-    use qroute_topology::Grid;
 
-    #[test]
-    fn path_product_matches_grid_router_semantics() {
-        let (m, n) = (4, 5);
-        let product = Product::new(Path::new(m).to_graph(), Path::new(n).to_graph());
-        let f1 = PathFactor(Path::new(m));
-        let f2 = PathFactor(Path::new(n));
-        let graph = product.to_graph();
-        for seed in 0..5 {
-            let pi = generators::random(m * n, seed);
-            let s = product_route(&product, &f1, &f2, &pi, &ProductRouteOptions::default());
-            assert!(s.realizes(&pi), "seed {seed}");
-            s.validate_on(&graph).unwrap();
-        }
-    }
-
-    #[test]
-    fn grid_and_product_agree_on_depth_scale() {
-        // Not necessarily identical schedules, but same algorithm family:
-        // depths should be within the 3-phase bound of each other.
-        let grid = Grid::new(5, 5);
-        let product = Product::new(Path::new(5).to_graph(), Path::new(5).to_graph());
-        let f = PathFactor(Path::new(5));
-        for seed in 0..5 {
-            let pi = generators::random(25, seed);
-            let sp = product_route(&product, &f, &f, &pi, &ProductRouteOptions::default());
-            let sg = crate::local_grid::local_grid_route_single(
-                grid,
-                &pi,
-                &crate::local_grid::LocalRouteOptions::default(),
-            )
-            .compact(25);
-            assert!(sp.depth() <= 3 * 5, "product depth {}", sp.depth());
-            assert!(sg.depth() <= 3 * 5, "grid depth {}", sg.depth());
-        }
+    fn route(f: &CycleFactor, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
+        f.route_line(targets, LineStrategy::BestParity, &mut LineScratch::new())
+            .into_owned()
     }
 
     #[test]
@@ -384,7 +206,7 @@ mod tests {
                 &CycleFactor(c1),
                 &CycleFactor(c2),
                 &pi,
-                &ProductRouteOptions::default(),
+                &LocalRouteOptions::default(),
             );
             assert!(s.realizes(&pi), "torus seed {seed}");
             s.validate_on(&graph).unwrap();
@@ -400,11 +222,13 @@ mod tests {
         for seed in 0..5 {
             let pi = generators::random(21, seed);
             for opts in [
-                ProductRouteOptions::default(),
-                ProductRouteOptions {
+                LocalRouteOptions::default(),
+                LocalRouteOptions::paper(),
+                LocalRouteOptions {
                     assignment: AssignmentStrategy::MinSum,
-                    doubling_windows: false,
+                    window: WindowMode::FullOnly,
                     compact: false,
+                    ..Default::default()
                 },
             ] {
                 let s = product_route(&product, &PathFactor(p), &CycleFactor(c), &pi, &opts);
@@ -433,7 +257,7 @@ mod tests {
         for n in [3, 4, 5] {
             let f = CycleFactor(Cycle::new(n));
             for t in perms(n) {
-                let rounds = f.route(&t);
+                let rounds = route(&f, &t);
                 let mut at: Vec<usize> = (0..n).collect();
                 for round in &rounds {
                     let mut used = vec![false; n];
@@ -461,7 +285,7 @@ mod tests {
         let n = 16;
         let f = CycleFactor(Cycle::new(n));
         let targets: Vec<usize> = (0..n).map(|v| (v + 1) % n).collect();
-        let rounds = f.route(&targets);
+        let rounds = route(&f, &targets);
         assert!(
             rounds.len() >= n - 1,
             "impossible: beat the conservation bound"
@@ -478,7 +302,7 @@ mod tests {
         let mut targets: Vec<usize> = (0..n).collect();
         targets.swap(0, 11); // swap across the wrap edge
         targets.swap(5, 6);
-        let rounds = f.route(&targets);
+        let rounds = route(&f, &targets);
         assert!(
             rounds.len() <= 2,
             "local swaps took {} rounds",

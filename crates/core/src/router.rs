@@ -378,6 +378,33 @@ mod tests {
     }
 
     #[test]
+    fn debug_text_is_pinned() {
+        // The routing service keys its schedule cache on this exact text
+        // (`format!("{router:?}")`), and the key's router string seeds the
+        // FNV-1a shard hash: changing it moves entries between shards and
+        // so changes evictions under capacity pressure.
+        let debug: Vec<String> = all_routers().iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(
+            debug,
+            vec![
+                "LocalityAware(LocalRouteOptions { assignment: Bottleneck, window: Doubling, \
+                 line: BestParity, compact: true, try_transpose: true })",
+                "NaiveGrid(NaiveOptions { line: BestParity, compact: true, try_transpose: true, \
+                 randomize: None })",
+                "Hybrid(LocalRouteOptions { assignment: Bottleneck, window: Doubling, \
+                 line: BestParity, compact: true, try_transpose: true }, NaiveOptions { \
+                 line: BestParity, compact: true, try_transpose: true, randomize: None })",
+                "Ats",
+                "AtsSerial",
+                "Tree",
+                "Snake",
+                "Pathfinder(PathfinderOptions { max_rounds: 0, history_increment: 1, \
+                 claim_penalty: 2, pending_penalty: 2 })",
+            ]
+        );
+    }
+
+    #[test]
     fn labels_round_trip_through_from_str() {
         for router in all_routers() {
             let parsed: RouterKind = router.label().parse().expect("label parses");

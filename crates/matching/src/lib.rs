@@ -12,8 +12,6 @@
 //! * [`bottleneck`] — the **MCBBM** solver (maximum-cardinality bottleneck
 //!   bipartite matching) assigning matchings to staging rows (Algorithm 2,
 //!   line 20), plus a min-*sum* Hungarian assignment used as an ablation.
-//! * [`hall`] — Hall-condition checking and deficient-set extraction
-//!   (König certificates), used by tests and diagnostics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +19,6 @@
 pub mod bottleneck;
 pub mod decompose;
 pub mod euler;
-pub mod hall;
 pub mod hopcroft_karp;
 pub mod multigraph;
 

@@ -415,9 +415,21 @@ impl Subscriber for MemorySubscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// The global subscriber slot and its armed flag are process-wide, so
+    /// a test that installs a global subscriber arms every concurrently
+    /// running test, and one that asserts `!armed()` or counts calls sees
+    /// the others' state. Every test in this module holds this lock.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disarmed_emits_nothing_and_returns_the_value() {
+        let _serial = serial();
         let got = span("outer", || {
             event("inner", &[("k", FieldValue::U64(1))]);
             41 + 1
@@ -427,6 +439,7 @@ mod tests {
 
     #[test]
     fn thread_local_subscriber_sees_spans_and_events_then_restores() {
+        let _serial = serial();
         let sub = Arc::new(MemorySubscriber::new());
         let got = with_subscriber(Arc::clone(&sub) as Arc<dyn Subscriber>, || {
             span_with("phase", &[("router", FieldValue::Str("ats"))], || {
@@ -456,6 +469,7 @@ mod tests {
 
     #[test]
     fn nested_subscribers_shadow_and_restore() {
+        let _serial = serial();
         let outer = Arc::new(CountingSubscriber::new());
         let inner = Arc::new(CountingSubscriber::new());
         with_subscriber(Arc::clone(&outer) as Arc<dyn Subscriber>, || {
@@ -471,6 +485,7 @@ mod tests {
 
     #[test]
     fn global_subscriber_arms_spawned_threads() {
+        let _serial = serial();
         let sub = Arc::new(CountingSubscriber::new());
         let prev = install_global(Some(Arc::clone(&sub) as Arc<dyn Subscriber>));
         std::thread::spawn(|| span("worker", || event("tick", &[])))
@@ -484,6 +499,7 @@ mod tests {
     #[test]
     fn chrome_subscriber_writes_a_closed_event_array() {
         use std::sync::mpsc::channel;
+        let _serial = serial();
         struct Tee(std::sync::mpsc::Sender<Vec<u8>>);
         impl Write for Tee {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {

@@ -6,7 +6,8 @@
 //! ```
 
 use qroute::perm::generators;
-use qroute::routing::product_route::{product_route, CycleFactor, PathFactor, ProductRouteOptions};
+use qroute::routing::product_route::{product_route, CycleFactor, PathFactor};
+use qroute::routing::LocalRouteOptions;
 use qroute::topology::{Cycle, Path, Product};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
         &CycleFactor(c1),
         &CycleFactor(c2),
         &pi,
-        &ProductRouteOptions::default(),
+        &LocalRouteOptions::default(),
     );
     assert!(schedule.realizes(&pi));
     schedule.validate_on(&graph).unwrap();
@@ -47,7 +48,7 @@ fn main() {
         &PathFactor(p),
         &CycleFactor(c2),
         &pi,
-        &ProductRouteOptions::default(),
+        &LocalRouteOptions::default(),
     );
     assert!(schedule.realizes(&pi));
     println!(

@@ -4,7 +4,9 @@
 use qroute::circuit::{builders, Gate};
 use qroute::perm::{generators, metrics, Permutation};
 use qroute::prelude::*;
-use qroute::routing::product_route::{product_route, CycleFactor, PathFactor, ProductRouteOptions};
+use qroute::routing::local_grid::main_procedure;
+use qroute::routing::product_route::{product_route, CycleFactor, PathFactor};
+use qroute::routing::{AssignmentStrategy, WindowMode};
 use qroute::sim::{equiv, permsim};
 use qroute::topology::{Cycle, Path, Product};
 use qroute::transpiler::InitialLayout;
@@ -116,24 +118,42 @@ fn decomposed_swaps_stay_equivalent_and_feasible() {
 
 #[test]
 fn product_route_agrees_with_grid_router_on_path_products() {
-    let (m, n) = (4, 4);
-    let product = Product::new(Path::new(m).to_graph(), Path::new(n).to_graph());
-    let grid = Grid::new(m, n);
-    for seed in 0..3 {
-        let pi = generators::random(m * n, seed);
-        let via_product = product_route(
-            &product,
-            &PathFactor(Path::new(m)),
-            &PathFactor(Path::new(n)),
-            &pi,
-            &ProductRouteOptions::default(),
-        );
-        let via_grid = RouterKind::locality_aware().route(grid, &pi);
-        assert!(via_product.realizes(&pi));
-        assert!(via_grid.realizes(&pi));
-        // Same algorithm family: depths within the 3-phase envelope.
-        assert!(via_product.depth() <= 3 * m.max(n));
-        assert!(via_grid.depth() <= 3 * m.max(n));
+    // A grid is P_m □ P_n, and both routers run the one 3-phase pipeline,
+    // so the product router must reproduce the grid router swap for swap
+    // under every option set.
+    let options = [
+        LocalRouteOptions::default(),
+        LocalRouteOptions::paper(),
+        LocalRouteOptions { window: WindowMode::FullOnly, ..Default::default() },
+        LocalRouteOptions { assignment: AssignmentStrategy::MinSum, ..Default::default() },
+        LocalRouteOptions { assignment: AssignmentStrategy::InOrder, ..Default::default() },
+    ];
+    for (m, n) in [(1, 5), (5, 1), (3, 5), (5, 3), (6, 6), (12, 12)] {
+        let grid = Grid::new(m, n);
+        let product = Product::new(Path::new(m).to_graph(), Path::new(n).to_graph());
+        let graph = product.to_graph();
+        for seed in 0..3 {
+            for pi in [
+                generators::block_local(grid, 3, 3, seed),
+                generators::random(grid.len(), seed),
+            ] {
+                for opts in &options {
+                    let via_product = product_route(
+                        &product,
+                        &PathFactor(Path::new(m)),
+                        &PathFactor(Path::new(n)),
+                        &pi,
+                        opts,
+                    );
+                    let via_grid = main_procedure(grid, &pi, opts);
+                    assert_eq!(via_product, via_grid, "{m}x{n} seed {seed} {opts:?}");
+                    assert!(via_product.realizes(&pi));
+                    via_product.validate_on(&graph).unwrap();
+                    // Each of the three phases takes at most one line length.
+                    assert!(via_product.depth() <= 2 * m.max(n) + m.min(n));
+                }
+            }
+        }
     }
 }
 
@@ -149,7 +169,7 @@ fn torus_routing_beats_grid_lower_bound_consistency() {
         &CycleFactor(c1),
         &CycleFactor(c2),
         &pi,
-        &ProductRouteOptions::default(),
+        &LocalRouteOptions::default(),
     );
     assert!(s.realizes(&pi));
     s.validate_on(&graph).unwrap();
