@@ -8,6 +8,10 @@
 //! only `O(log k)` levels of Hopcroft–Karp work (one matching peel per odd
 //! degree encountered). This is the standard trick behind the
 //! near-linear-time claims for the first phase of grid routing.
+//!
+//! No router calls it. On the column multigraphs the routers build (sides
+//! up to 128), `decompose_regular`'s incremental peel is faster, and its
+//! matchings are the ones the naive router's schedules are pinned to.
 
 use crate::hopcroft_karp::hopcroft_karp;
 use crate::multigraph::{BipartiteMultigraph, EdgeId};
