@@ -2,26 +2,30 @@
 //!
 //! The figure sweeps in [`crate::experiments`] produce human-oriented
 //! tables; this module produces the *canonical performance record* the
-//! project is judged against over time:
+//! project is judged against over time: the schema-versioned `BENCH.json`
+//! [`BenchReport`] of build environment metadata, the run configuration,
+//! and five cell matrices.
 //!
-//! * [`BenchReport`] — a schema-versioned, serde-serialized report: build
-//!   environment metadata, the run configuration, one [`BenchCell`] per
-//!   router × permutation class × grid side, and one [`CircuitBenchCell`]
-//!   per router × circuit class × grid side, each with full
-//!   [`SampleSummary`] percentiles (mean/min/p50/p90/max over seeds);
-//! * [`run_bench`] — drives both cell matrices in parallel via rayon
-//!   and returns a deterministically ordered report whose JSON encoding
-//!   ([`BenchReport::to_json`]) is byte-stable: with timing capture
-//!   disabled ([`BenchConfig::timing`] = `false`), two runs with the same
-//!   seeds produce *identical* `BENCH.json` bytes;
-//! * [`BenchReport::from_json`] — reads a committed baseline back;
-//! * [`check_against_baseline`] — diffs a fresh report against a
-//!   baseline and reports per-cell regressions: mean depth (and, for
-//!   circuit cells, mean swap count) beyond the per-class tolerance
-//!   ([`depth_tolerance`] / [`circuit_tolerance`]), or mean time more
-//!   than [`TIME_TOLERANCE`] (25%) slower when both reports captured
-//!   timing. The `repro bench --baseline <file> --check` subcommand turns
-//!   a failed check into exit code 1 plus a markdown delta table
+//! Every matrix holds the one cell type, [`BenchCell`]: named [`Field`]s
+//! in serialized order. A static [`Matrix`] description per matrix
+//! ([`PERMUTATION`], [`CIRCUIT`], [`DEFECT`], [`SERVICE`], [`DAEMON`])
+//! gives its JSON array name, field names and [`Kind`]s, how many leading
+//! fields form the cell key, how reports name a cell, and which summary
+//! metrics are gated with what tolerance. Serializing, parsing, key
+//! ordering and the baseline check are written once over those
+//! descriptions; only the five `measure_*` functions know what a matrix
+//! measures.
+//!
+//! * [`run_bench`] returns a deterministically ordered report whose JSON
+//!   encoding ([`BenchReport::to_json`]) is byte-stable: with timing
+//!   capture disabled ([`BenchConfig::timing`] = `false`), two runs with
+//!   the same seeds produce *identical* `BENCH.json` bytes;
+//!   [`run_router_smoke`] is its permutation matrix over a router list.
+//! * [`BenchReport::from_json`] reads a committed baseline back, strictly.
+//! * [`check_against_baseline`] diffs a fresh report against a baseline:
+//!   a gated mean beyond its tolerance, a missing baseline cell, or a
+//!   changed seed count fails. `repro bench --baseline <file> --check`
+//!   turns a failure into exit code 1 plus a markdown delta table
 //!   ([`delta_table_markdown`]).
 //!
 //! Depth, size and lower bound are exactly reproducible (seeded
@@ -45,6 +49,7 @@ use qroute_topology::{Grid, Topology};
 use qroute_transpiler::{TranspileOptions, Transpiler};
 use rayon::prelude::*;
 use serde::Serialize;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// Version of the `BENCH.json` schema. Bump on any breaking change to
@@ -113,6 +118,365 @@ pub fn circuit_tolerance(class: &str) -> f64 {
         0.02
     } else {
         0.05
+    }
+}
+
+/// Relative mean-depth regression tolerance for defect cells. The
+/// token-swapping heuristics on irregular topologies legitimately trade
+/// depth as tie-breaking changes, so they get the looser 5%.
+pub const DEFECT_DEPTH_TOLERANCE: f64 = 0.05;
+
+/// The kind of one cell field: how it is written to and read back from
+/// JSON. The JSON reader returns every number as `f64`, so the matrix
+/// description, not the document, says which numbers are integers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A label.
+    Str,
+    /// A non-negative integer, written without a decimal point.
+    Int,
+    /// A float, written through `{:?}` (the shortest round-trip form).
+    Float,
+    /// A boolean.
+    Bool,
+    /// A [`SampleSummary`] over the cell's seeds.
+    Summary,
+}
+
+/// The value of one cell field.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field {
+    /// A [`Kind::Str`] value.
+    Str(String),
+    /// A [`Kind::Int`] value.
+    Int(u64),
+    /// A [`Kind::Float`] value.
+    Float(f64),
+    /// A [`Kind::Bool`] value.
+    Bool(bool),
+    /// A [`Kind::Summary`] value.
+    Summary(SampleSummary),
+}
+
+impl Field {
+    fn kind(&self) -> Kind {
+        match self {
+            Field::Str(_) => Kind::Str,
+            Field::Int(_) => Kind::Int,
+            Field::Float(_) => Kind::Float,
+            Field::Bool(_) => Kind::Bool,
+            Field::Summary(_) => Kind::Summary,
+        }
+    }
+
+    /// Read a value of `kind`; `None` when `v` has another shape. Integers
+    /// are strict: a fractional or negative number is not truncated.
+    fn read(kind: Kind, v: &serde_json::Value) -> Option<Field> {
+        Some(match kind {
+            Kind::Str => Field::Str(v.as_str()?.to_string()),
+            Kind::Int => Field::Int(v.as_u64()?),
+            Kind::Float => Field::Float(v.as_f64()?),
+            Kind::Bool => Field::Bool(v.as_bool()?),
+            Kind::Summary => {
+                let num = |name| v.get(name)?.as_f64();
+                Field::Summary(SampleSummary {
+                    n: usize::try_from(v.get("n")?.as_u64()?).ok()?,
+                    mean: num("mean")?,
+                    min: num("min")?,
+                    p50: num("p50")?,
+                    p90: num("p90")?,
+                    max: num("max")?,
+                })
+            }
+        })
+    }
+}
+
+impl Serialize for Field {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Field::Str(s) => s.write_json(out),
+            Field::Int(n) => n.write_json(out),
+            Field::Float(x) => x.write_json(out),
+            Field::Bool(b) => b.write_json(out),
+            Field::Summary(s) => s.write_json(out),
+        }
+    }
+}
+
+/// A gated metric's relative tolerance, given the baseline cell.
+pub type Tolerance = fn(&BenchCell) -> f64;
+
+/// The static description of one cell matrix.
+#[derive(Debug)]
+pub struct Matrix {
+    /// The report's JSON array holding this matrix's cells.
+    pub name: &'static str,
+    /// Field names and kinds, in serialized order.
+    pub fields: &'static [(&'static str, Kind)],
+    /// How many leading fields form the cell key. Cells are sorted by
+    /// key, and no two cells of a matrix share one.
+    pub key_len: usize,
+    /// How reports name a cell: `{i}` stands for key field `i`.
+    pub key_format: &'static str,
+    /// The gated summary fields and their tolerances, in comparison
+    /// order. The first one's sample count is the cell's seed count. The
+    /// check skips a matrix that gates nothing (it is informational).
+    pub gates: &'static [(&'static str, Tolerance)],
+}
+
+/// The permutation matrix: router × workload class × grid side, routing
+/// seeded permutations of the square grid.
+pub static PERMUTATION: Matrix = Matrix {
+    name: "cells",
+    fields: &[
+        ("router", Kind::Str),
+        ("class", Kind::Str),
+        ("side", Kind::Int),
+        ("qubits", Kind::Int),
+        ("depth", Kind::Summary),
+        ("size", Kind::Summary),
+        // Max-displacement depth lower bound.
+        ("lower_bound", Kind::Summary),
+        // All-zero with `n = 0` when timing capture is off.
+        ("time_ms", Kind::Summary),
+    ],
+    key_len: 3,
+    key_format: "{0}/{1}/{2}x{2}",
+    gates: &[
+        ("depth", |c| {
+            cell_depth_tolerance(c.str("router"), c.str("class"))
+        }),
+        ("time_ms", |_| TIME_TOLERANCE),
+    ],
+};
+
+/// The circuit matrix: router × circuit class × grid side, over verified
+/// transpiles (see [`crate::verify`]). Both mean routing depth added and
+/// mean swap count are gated: inside the transpile loop the two trade off
+/// differently than in isolated permutations.
+pub static CIRCUIT: Matrix = Matrix {
+    name: "circuit_cells",
+    fields: &[
+        ("router", Kind::Str),
+        ("class", Kind::Str),
+        ("side", Kind::Int),
+        ("qubits", Kind::Int),
+        // The logical circuit's shape (seed-independent per class).
+        ("logical_qubits", Kind::Int),
+        ("logical_gates", Kind::Int),
+        ("logical_two_qubit", Kind::Int),
+        // Whether the statevector tier ran on every seed.
+        ("statevector_checked", Kind::Bool),
+        ("swaps", Kind::Summary),
+        // Sum of schedule depths across routing rounds.
+        ("routing_depth", Kind::Summary),
+        ("invocations", Kind::Summary),
+        ("output_depth", Kind::Summary),
+        ("time_ms", Kind::Summary),
+    ],
+    key_len: 3,
+    key_format: "circuit:{0}/{1}/{2}x{2}",
+    gates: &[
+        ("routing_depth", |c| circuit_tolerance(c.str("class"))),
+        ("swaps", |c| circuit_tolerance(c.str("class"))),
+        ("time_ms", |_| TIME_TOLERANCE),
+    ],
+};
+
+/// The non-grid topology matrix: topology kind × router × base side,
+/// routing seeded permutations of the alive vertices through the
+/// topology-generic path ([`qroute_core::GridRouter::route_on`]).
+pub static DEFECT: Matrix = Matrix {
+    name: "defect_cells",
+    fields: &[
+        ("topology", Kind::Str),
+        // As given on the axis: `auto` stays `auto`.
+        ("router", Kind::Str),
+        ("side", Kind::Int),
+        // Every vertex, dead ones included (ids are stable).
+        ("qubits", Kind::Int),
+        ("depth", Kind::Summary),
+        ("size", Kind::Summary),
+        // Oracle depth lower bound (max live-graph distance).
+        ("lower_bound", Kind::Summary),
+        ("time_ms", Kind::Summary),
+    ],
+    key_len: 3,
+    key_format: "defect:{0}/{1}/side{2}",
+    gates: &[
+        ("depth", |_| DEFECT_DEPTH_TOLERANCE),
+        ("time_ms", |_| TIME_TOLERANCE),
+    ],
+};
+
+/// The routing-service throughput matrix: side × engine worker count.
+/// Informational: the hit counts are pinned by the service test suites,
+/// and throughput is machine-dependent.
+pub static SERVICE: Matrix = Matrix {
+    name: "service_cells",
+    fields: &[
+        ("side", Kind::Int),
+        ("workers", Kind::Int),
+        ("jobs", Kind::Int),
+        ("cache_hits", Kind::Int),
+        ("cache_misses", Kind::Int),
+        ("cache_evictions", Kind::Int),
+        ("hit_rate", Kind::Float),
+        // `0.0` when timing capture is off.
+        ("jobs_per_sec", Kind::Float),
+    ],
+    key_len: 2,
+    key_format: "service:{0}x{0}/workers{1}",
+    gates: &[],
+};
+
+/// The routing-daemon throughput matrix: one cell per concurrent-client
+/// count. Informational, like [`SERVICE`].
+pub static DAEMON: Matrix = Matrix {
+    name: "daemon_cells",
+    fields: &[
+        ("clients", Kind::Int),
+        ("jobs", Kind::Int),
+        ("cache_hits", Kind::Int),
+        // One miss per distinct canonical key, whatever the interleaving.
+        ("cache_misses", Kind::Int),
+        ("cache_evictions", Kind::Int),
+        ("hit_rate", Kind::Float),
+        ("jobs_per_sec", Kind::Float),
+    ],
+    key_len: 1,
+    key_format: "daemon:clients{0}",
+    gates: &[],
+};
+
+/// One measured cell of any matrix: one [`Field`] per field its
+/// [`Matrix`] describes, in serialized order.
+#[derive(Debug, Clone)]
+pub struct BenchCell {
+    matrix: &'static Matrix,
+    values: Vec<Field>,
+}
+
+impl BenchCell {
+    /// A cell of `matrix`. Panics unless `values` match its field kinds.
+    fn new(matrix: &'static Matrix, values: Vec<Field>) -> BenchCell {
+        let kinds = matrix.fields.iter().map(|&(_, kind)| kind);
+        assert!(
+            kinds.eq(values.iter().map(Field::kind)),
+            "not a {} cell",
+            matrix.name
+        );
+        BenchCell { matrix, values }
+    }
+
+    /// The cell's identity within its matrix: the first
+    /// [`Matrix::key_len`] fields.
+    pub fn key(&self) -> &[Field] {
+        &self.values[..self.matrix.key_len]
+    }
+
+    /// The cell's name in check reports, e.g. `circuit:ats/qft/4x4`.
+    pub fn key_string(&self) -> String {
+        let mut name = self.matrix.key_format.to_string();
+        for (i, field) in self.key().iter().enumerate() {
+            let text = match field {
+                Field::Str(s) => s.clone(),
+                Field::Int(n) => n.to_string(),
+                other => unreachable!("key fields are labels or integers, not {other:?}"),
+            };
+            name = name.replace(&format!("{{{i}}}"), &text);
+        }
+        name
+    }
+
+    fn index(&self, name: &str) -> usize {
+        let i = self.matrix.fields.iter().position(|(n, _)| *n == name);
+        i.unwrap_or_else(|| panic!("{} have no field {name:?}", self.matrix.name))
+    }
+
+    fn field(&self, name: &str) -> &Field {
+        &self.values[self.index(name)]
+    }
+
+    /// The named label field. Panics when the matrix has no such label.
+    pub fn str(&self, name: &str) -> &str {
+        match self.field(name) {
+            Field::Str(s) => s,
+            other => panic!("{name} is {other:?}, not a label"),
+        }
+    }
+
+    /// The named integer field. Panics when the matrix has no such integer.
+    pub fn int(&self, name: &str) -> u64 {
+        match self.field(name) {
+            Field::Int(n) => *n,
+            other => panic!("{name} is {other:?}, not an integer"),
+        }
+    }
+
+    /// The named float field. Panics when the matrix has no such float.
+    pub fn float(&self, name: &str) -> f64 {
+        match self.field(name) {
+            Field::Float(x) => *x,
+            other => panic!("{name} is {other:?}, not a float"),
+        }
+    }
+
+    /// The named boolean field. Panics when the matrix has no such boolean.
+    pub fn flag(&self, name: &str) -> bool {
+        match self.field(name) {
+            Field::Bool(b) => *b,
+            other => panic!("{name} is {other:?}, not a boolean"),
+        }
+    }
+
+    /// The named summary field. Panics when the matrix has no such summary.
+    pub fn summary(&self, name: &str) -> &SampleSummary {
+        match self.field(name) {
+            Field::Summary(s) => s,
+            other => panic!("{name} is {other:?}, not a summary"),
+        }
+    }
+
+    /// The named summary field, mutably (e.g. to tamper with a baseline
+    /// in a test). Panics when the matrix has no such summary.
+    pub fn summary_mut(&mut self, name: &str) -> &mut SampleSummary {
+        let i = self.index(name);
+        match &mut self.values[i] {
+            Field::Summary(s) => s,
+            other => panic!("{name} is {other:?}, not a summary"),
+        }
+    }
+}
+
+/// Cells sort by key, field by field.
+fn key_order(a: &BenchCell, b: &BenchCell) -> Ordering {
+    let field_order = |(x, y): (&Field, &Field)| match (x, y) {
+        (Field::Str(x), Field::Str(y)) => x.cmp(y),
+        (Field::Int(x), Field::Int(y)) => x.cmp(y),
+        _ => unreachable!("key fields are labels or integers"),
+    };
+    a.key()
+        .iter()
+        .zip(b.key())
+        .map(field_order)
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+impl Serialize for BenchCell {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, ((name, _), value)) in self.matrix.fields.iter().zip(&self.values).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            serde::write_json_string(name, out);
+            out.push(':');
+            value.write_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -217,158 +581,6 @@ impl BenchConfig {
     }
 }
 
-/// One measured cell: a router × workload class × grid side aggregate
-/// with full sample summaries over the seed set.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchCell {
-    /// Router label ([`RouterKind::label`]).
-    pub router: String,
-    /// Workload class label ([`WorkloadClass::label`]).
-    pub class: String,
-    /// Grid side (square grids).
-    pub side: usize,
-    /// Number of qubits (`side * side`).
-    pub qubits: usize,
-    /// Schedule depth summary over seeds.
-    pub depth: SampleSummary,
-    /// Swap-count summary over seeds.
-    pub size: SampleSummary,
-    /// Depth lower bound (max displacement) summary over seeds.
-    pub lower_bound: SampleSummary,
-    /// Wall-clock routing time summary in milliseconds (all-zero with
-    /// `n = 0` when timing capture was disabled).
-    pub time_ms: SampleSummary,
-}
-
-impl BenchCell {
-    /// The cell's identity within a report's matrix.
-    pub fn key(&self) -> (&str, &str, usize) {
-        (self.router.as_str(), self.class.as_str(), self.side)
-    }
-}
-
-/// One measured circuit cell: a router × circuit class × grid side
-/// aggregate over a seed set of *verified* transpiles (see
-/// [`crate::verify`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct CircuitBenchCell {
-    /// Router label ([`RouterKind::label`]).
-    pub router: String,
-    /// Circuit class label ([`CircuitClass::label`]).
-    pub class: String,
-    /// Grid side (square grids).
-    pub side: usize,
-    /// Number of physical wires (`side * side`).
-    pub qubits: usize,
-    /// Logical register width of the class instance.
-    pub logical_qubits: usize,
-    /// Gate count of the logical circuit (seed-independent for every
-    /// class: generated circuits have fixed structure per size).
-    pub logical_gates: usize,
-    /// 2-qubit gate count of the logical circuit.
-    pub logical_two_qubit: usize,
-    /// Whether the statevector equivalence tier ran on every seed
-    /// (logical register within the simulator cutoff); the structural
-    /// verification tiers always run.
-    pub statevector_checked: bool,
-    /// SWAP-count summary over seeds.
-    pub swaps: SampleSummary,
-    /// Routing-depth-added summary over seeds (sum of schedule depths
-    /// across routing rounds).
-    pub routing_depth: SampleSummary,
-    /// Router-invocation (routing round) summary over seeds.
-    pub invocations: SampleSummary,
-    /// Output-circuit depth summary over seeds (all gates unit cost).
-    pub output_depth: SampleSummary,
-    /// Wall-clock transpile time summary in milliseconds (all-zero with
-    /// `n = 0` when timing capture was disabled).
-    pub time_ms: SampleSummary,
-}
-
-impl CircuitBenchCell {
-    /// The cell's identity within a report's circuit matrix.
-    pub fn key(&self) -> (&str, &str, usize) {
-        (self.router.as_str(), self.class.as_str(), self.side)
-    }
-}
-
-/// One routing-service throughput cell: a standard repetitive job batch
-/// (two passes over every workload class × seed, `auto` dispatch) pushed
-/// through [`qroute_service::Engine`] at a given worker count.
-///
-/// Hit/miss/evict counts are deterministic (the engine makes every cache
-/// decision in job order), so they are byte-stable in the committed
-/// baseline; `jobs_per_sec` is wall-clock-derived and zeroed when timing
-/// capture is off, exactly like the `time_ms` summaries elsewhere.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServiceBenchCell {
-    /// Grid side (square grids).
-    pub side: usize,
-    /// Engine worker threads used for this cell.
-    pub workers: usize,
-    /// Jobs in the batch.
-    pub jobs: usize,
-    /// Canonical-cache hits.
-    pub cache_hits: u64,
-    /// Canonical-cache misses.
-    pub cache_misses: u64,
-    /// Canonical-cache evictions.
-    pub cache_evictions: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`.
-    pub hit_rate: f64,
-    /// Batch throughput (`0.0` when timing capture was disabled).
-    pub jobs_per_sec: f64,
-}
-
-impl ServiceBenchCell {
-    /// The cell's identity within a report's service matrix.
-    pub fn key(&self) -> (usize, usize) {
-        (self.side, self.workers)
-    }
-}
-
-/// One measured non-grid topology cell: a router × topology kind × base
-/// side aggregate over seeded random permutations of the alive vertices.
-///
-/// This matrix pins the topology-generic routing path (defective grids
-/// and heavy-hex lattices routed through [`qroute_core::GridRouter::route_on`])
-/// the same way `cells` pins the square-grid routers.
-#[derive(Debug, Clone, Serialize)]
-pub struct DefectBenchCell {
-    /// Topology kind label: `"defect"` or `"heavy-hex"`.
-    pub topology: String,
-    /// Router label as given on the axis (`"auto"` stays `"auto"`; the
-    /// dispatch policy resolves it per instance).
-    pub router: String,
-    /// Base side (the defective grid is `side × side`; heavy-hex is the
-    /// `side × side` data lattice plus its bridge vertices).
-    pub side: usize,
-    /// Total vertex count of the topology (for defective grids this
-    /// includes the dead vertices — ids are stable).
-    pub qubits: usize,
-    /// Schedule depth summary over seeds.
-    pub depth: SampleSummary,
-    /// Swap-count summary over seeds.
-    pub size: SampleSummary,
-    /// Oracle depth lower bound (max live-graph distance) summary.
-    pub lower_bound: SampleSummary,
-    /// Wall-clock routing time summary in milliseconds (all-zero with
-    /// `n = 0` when timing capture was disabled).
-    pub time_ms: SampleSummary,
-}
-
-impl DefectBenchCell {
-    /// The cell's identity within a report's defect matrix.
-    pub fn key(&self) -> (&str, &str, usize) {
-        (self.topology.as_str(), self.router.as_str(), self.side)
-    }
-}
-
-/// Relative mean-depth regression tolerance for defect cells. The
-/// token-swapping heuristics on irregular topologies legitimately trade
-/// depth as tie-breaking changes, so they get the looser 5%.
-pub const DEFECT_DEPTH_TOLERANCE: f64 = 0.05;
-
 /// The topology-kind axis of the defect matrix.
 pub const DEFECT_TOPOLOGY_AXIS: [&str; 2] = ["defect", "heavy-hex"];
 
@@ -415,7 +627,7 @@ fn alive_random(topology: &Topology, seed: u64) -> qroute_perm::Permutation {
     qroute_perm::Permutation::from_vec(map).expect("permutation of the alive vertices")
 }
 
-/// Measure one defect cell: route `seeds` random alive-vertex
+/// Measure one [`DEFECT`] cell: route `seeds` random alive-vertex
 /// permutations of the topology, verify every schedule, and summarize.
 pub fn measure_defect_cell(
     side: usize,
@@ -423,7 +635,7 @@ pub fn measure_defect_cell(
     router_label: &str,
     seeds: u64,
     timing: bool,
-) -> DefectBenchCell {
+) -> BenchCell {
     let topology = defect_topology(kind, side);
     let graph = topology.graph();
     let mut depths = Vec::with_capacity(seeds as usize);
@@ -456,16 +668,19 @@ pub fn measure_defect_cell(
             times.push(elapsed_ms);
         }
     }
-    DefectBenchCell {
-        topology: kind.to_string(),
-        router: router_label.to_string(),
-        side,
-        qubits: topology.len(),
-        depth: SampleSummary::from_samples(&depths),
-        size: SampleSummary::from_samples(&sizes),
-        lower_bound: SampleSummary::from_samples(&lbs),
-        time_ms: SampleSummary::from_samples(&times),
-    }
+    BenchCell::new(
+        &DEFECT,
+        vec![
+            Field::Str(kind.to_string()),
+            Field::Str(router_label.to_string()),
+            Field::Int(side as u64),
+            Field::Int(topology.len() as u64),
+            Field::Summary(SampleSummary::from_samples(&depths)),
+            Field::Summary(SampleSummary::from_samples(&sizes)),
+            Field::Summary(SampleSummary::from_samples(&lbs)),
+            Field::Summary(SampleSummary::from_samples(&times)),
+        ],
+    )
 }
 
 /// The worker-count axis of the service throughput matrix. Outcome
@@ -491,13 +706,14 @@ pub fn service_jobs(side: usize, seeds: u64) -> Vec<qroute_service::RouteJob> {
     jobs
 }
 
-/// Measure one service throughput cell.
-pub fn measure_service_cell(
-    side: usize,
-    workers: usize,
-    seeds: u64,
-    timing: bool,
-) -> ServiceBenchCell {
+/// Measure one [`SERVICE`] cell: push the [`service_jobs`] batch through
+/// a [`qroute_service::Engine`] with `workers` threads.
+///
+/// Hit/miss/evict counts are deterministic (the engine makes every cache
+/// decision in job order), so they are byte-stable in the committed
+/// baseline; `jobs_per_sec` is wall-clock-derived and zeroed when timing
+/// capture is off, exactly like the `time_ms` summaries elsewhere.
+pub fn measure_service_cell(side: usize, workers: usize, seeds: u64, timing: bool) -> BenchCell {
     let mut engine = qroute_service::Engine::new(
         qroute_service::EngineConfig::builder()
             .workers(workers)
@@ -514,20 +730,23 @@ pub fn measure_service_cell(
         "service bench batch must route cleanly"
     );
     let stats = engine.cache_stats();
-    ServiceBenchCell {
-        side,
-        workers,
-        jobs: job_count,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        cache_evictions: stats.evictions,
-        hit_rate: stats.hit_rate(),
-        jobs_per_sec: if timing && elapsed > 0.0 {
-            job_count as f64 / elapsed
-        } else {
-            0.0
-        },
-    }
+    BenchCell::new(
+        &SERVICE,
+        vec![
+            Field::Int(side as u64),
+            Field::Int(workers as u64),
+            Field::Int(job_count as u64),
+            Field::Int(stats.hits),
+            Field::Int(stats.misses),
+            Field::Int(stats.evictions),
+            Field::Float(stats.hit_rate()),
+            Field::Float(if timing && elapsed > 0.0 {
+                job_count as f64 / elapsed
+            } else {
+                0.0
+            }),
+        ],
+    )
 }
 
 /// The JSONL job stream every daemon bench client replays — the
@@ -535,46 +754,17 @@ pub fn measure_service_cell(
 /// wire format the README documents.
 pub const DAEMON_BENCH_JOBS: &str = include_str!("../../../examples/jobs.jsonl");
 
-/// One routing-daemon throughput cell: `clients` concurrent connections
-/// each replaying [`DAEMON_BENCH_JOBS`] through a live TCP daemon.
+/// Measure one [`DAEMON`] cell: bind an in-process daemon on an
+/// ephemeral port, replay [`DAEMON_BENCH_JOBS`] from `clients`
+/// concurrent connections, and snapshot the shared-cache counters after
+/// every client drained.
 ///
 /// The shared-cache counters are deterministic regardless of client
 /// interleaving: the shard-locked get-or-insert admits exactly one miss
 /// per distinct canonical key (the capacity far exceeds the distinct
 /// keys in the example batch, so nothing evicts), and every other lookup
-/// hits. `jobs_per_sec` is wall-clock-derived and zeroed when timing
-/// capture is off, exactly like `jobs_per_sec` in the service matrix.
-#[derive(Debug, Clone, Serialize)]
-pub struct DaemonBenchCell {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Total jobs routed across all clients.
-    pub jobs: usize,
-    /// Shared canonical-cache hits.
-    pub cache_hits: u64,
-    /// Shared canonical-cache misses (= distinct canonical keys).
-    pub cache_misses: u64,
-    /// Shared canonical-cache evictions.
-    pub cache_evictions: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`.
-    pub hit_rate: f64,
-    /// Aggregate throughput across clients (`0.0` when timing capture
-    /// was disabled).
-    pub jobs_per_sec: f64,
-}
-
-impl DaemonBenchCell {
-    /// The cell's identity within a report's daemon matrix.
-    pub fn key(&self) -> usize {
-        self.clients
-    }
-}
-
-/// Measure one daemon throughput cell: bind an in-process daemon on an
-/// ephemeral port, replay [`DAEMON_BENCH_JOBS`] from `clients`
-/// concurrent connections, and snapshot the shared-cache counters after
-/// every client drained.
-pub fn measure_daemon_cell(clients: usize, timing: bool) -> DaemonBenchCell {
+/// hits. `jobs_per_sec` is zeroed when timing capture is off.
+pub fn measure_daemon_cell(clients: usize, timing: bool) -> BenchCell {
     let daemon = qroute_service::Daemon::bind(
         "127.0.0.1:0",
         qroute_service::EngineConfig::builder()
@@ -608,19 +798,22 @@ pub fn measure_daemon_cell(clients: usize, timing: bool) -> DaemonBenchCell {
     let stats = daemon.stats();
     daemon.shutdown();
     daemon.join();
-    DaemonBenchCell {
-        clients,
-        jobs,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_evictions: stats.cache_evictions,
-        hit_rate: stats.hit_rate,
-        jobs_per_sec: if timing && elapsed > 0.0 {
-            jobs as f64 / elapsed
-        } else {
-            0.0
-        },
-    }
+    BenchCell::new(
+        &DAEMON,
+        vec![
+            Field::Int(clients as u64),
+            Field::Int(jobs as u64),
+            Field::Int(stats.cache_hits),
+            Field::Int(stats.cache_misses),
+            Field::Int(stats.cache_evictions),
+            Field::Float(stats.hit_rate),
+            Field::Float(if timing && elapsed > 0.0 {
+                jobs as f64 / elapsed
+            } else {
+                0.0
+            }),
+        ],
+    )
 }
 
 /// A complete benchmark report — the `BENCH.json` document.
@@ -632,20 +825,16 @@ pub struct BenchReport {
     pub env: BenchEnv,
     /// Run configuration.
     pub config: BenchConfig,
-    /// The permutation cell matrix, sorted by (router, class, side).
+    /// The [`PERMUTATION`] matrix, sorted by (router, class, side).
     pub cells: Vec<BenchCell>,
-    /// The circuit cell matrix, sorted by (router, class, side).
-    pub circuit_cells: Vec<CircuitBenchCell>,
-    /// The non-grid topology matrix, sorted by (topology, router, side).
-    /// Gated like the permutation matrix (mean depth, 5% tolerance).
-    pub defect_cells: Vec<DefectBenchCell>,
-    /// The service throughput matrix, sorted by (side, workers).
-    /// Informational (not gated): hit counts are pinned by the service
-    /// test suites, and throughput is machine-dependent.
-    pub service_cells: Vec<ServiceBenchCell>,
-    /// The daemon throughput matrix, sorted by client count.
-    /// Informational (not gated), like the service matrix.
-    pub daemon_cells: Vec<DaemonBenchCell>,
+    /// The [`CIRCUIT`] matrix, sorted by (router, class, side).
+    pub circuit_cells: Vec<BenchCell>,
+    /// The [`DEFECT`] matrix, sorted by (topology, router, side).
+    pub defect_cells: Vec<BenchCell>,
+    /// The [`SERVICE`] matrix, sorted by (side, workers).
+    pub service_cells: Vec<BenchCell>,
+    /// The [`DAEMON`] matrix, sorted by client count.
+    pub daemon_cells: Vec<BenchCell>,
 }
 
 /// The router axis of the permutation benchmark matrix: every
@@ -667,17 +856,17 @@ pub fn circuit_routers() -> Vec<RouterKind> {
     ]
 }
 
-/// Measure one circuit cell: transpile `seeds` seeded instances, verify
-/// every transpile through the differential harness (panicking on any
-/// verification failure — a benchmark must not record wrong answers),
-/// and summarize each metric's per-seed samples.
+/// Measure one [`CIRCUIT`] cell: transpile `seeds` seeded instances,
+/// verify every transpile through the differential harness (panicking on
+/// any verification failure — a benchmark must not record wrong
+/// answers), and summarize each metric's per-seed samples.
 pub fn measure_circuit_cell(
     side: usize,
     class: CircuitClass,
     router: &RouterKind,
     seeds: u64,
     timing: bool,
-) -> CircuitBenchCell {
+) -> BenchCell {
     let grid = Grid::new(side, side);
     let mut swaps = Vec::with_capacity(seeds as usize);
     let mut routing_depth = Vec::with_capacity(seeds as usize);
@@ -716,25 +905,28 @@ pub fn measure_circuit_cell(
             times.push(elapsed_ms);
         }
     }
-    CircuitBenchCell {
-        router: router.label().to_string(),
-        class: class.label(),
-        side,
-        qubits: grid.len(),
-        logical_qubits: logical_shape.0,
-        logical_gates: logical_shape.1,
-        logical_two_qubit: logical_shape.2,
-        statevector_checked,
-        swaps: SampleSummary::from_samples(&swaps),
-        routing_depth: SampleSummary::from_samples(&routing_depth),
-        invocations: SampleSummary::from_samples(&invocations),
-        output_depth: SampleSummary::from_samples(&output_depth),
-        time_ms: SampleSummary::from_samples(&times),
-    }
+    BenchCell::new(
+        &CIRCUIT,
+        vec![
+            Field::Str(router.label().to_string()),
+            Field::Str(class.label()),
+            Field::Int(side as u64),
+            Field::Int(grid.len() as u64),
+            Field::Int(logical_shape.0 as u64),
+            Field::Int(logical_shape.1 as u64),
+            Field::Int(logical_shape.2 as u64),
+            Field::Bool(statevector_checked),
+            Field::Summary(SampleSummary::from_samples(&swaps)),
+            Field::Summary(SampleSummary::from_samples(&routing_depth)),
+            Field::Summary(SampleSummary::from_samples(&invocations)),
+            Field::Summary(SampleSummary::from_samples(&output_depth)),
+            Field::Summary(SampleSummary::from_samples(&times)),
+        ],
+    )
 }
 
-/// Measure one benchmark cell: route `seeds` instances, verify every
-/// schedule, and summarize each metric's per-seed samples.
+/// Measure one [`PERMUTATION`] cell: route `seeds` instances, verify
+/// every schedule, and summarize each metric's per-seed samples.
 pub fn measure_bench_cell(
     side: usize,
     class: WorkloadClass,
@@ -762,157 +954,103 @@ pub fn measure_bench_cell(
             times.push(timed.route_ms);
         }
     }
-    BenchCell {
-        router: router.label().to_string(),
-        class: class.label(),
-        side,
-        qubits: grid.len(),
-        depth: SampleSummary::from_samples(&depths),
-        size: SampleSummary::from_samples(&sizes),
-        lower_bound: SampleSummary::from_samples(&lbs),
-        time_ms: SampleSummary::from_samples(&times),
+    BenchCell::new(
+        &PERMUTATION,
+        vec![
+            Field::Str(router.label().to_string()),
+            Field::Str(class.label()),
+            Field::Int(side as u64),
+            Field::Int(grid.len() as u64),
+            Field::Summary(SampleSummary::from_samples(&depths)),
+            Field::Summary(SampleSummary::from_samples(&sizes)),
+            Field::Summary(SampleSummary::from_samples(&lbs)),
+            Field::Summary(SampleSummary::from_samples(&times)),
+        ],
+    )
+}
+
+/// Every `(a, b, c)` job over three axes, `a` outermost.
+fn product<A: Copy, B: Copy, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
+    let mut jobs = Vec::with_capacity(a.len() * b.len() * c.len());
+    for &x in a {
+        for &y in b {
+            for z in c {
+                jobs.push((x, y, z.clone()));
+            }
+        }
     }
+    jobs
 }
 
-fn canonical_key_order<T, F>(cells: &mut [T], key: F)
-where
-    F: Fn(&T) -> (&str, &str, usize),
-{
-    cells.sort_by(|a, b| key(a).cmp(&key(b)));
-}
-
-/// Run the full benchmark matrix — permutation cells (all
-/// [`bench_routers`] × [`WorkloadClass::bench_classes`] × `config.sides`)
-/// and circuit cells (all [`circuit_routers`] ×
-/// [`CircuitClass::all_classes`] × `config.circuit_sides`) — and return
-/// the report with both matrices in canonical (router, class, side)
-/// order.
+/// Measure every job of one matrix and return the cells in key order.
 ///
-/// Untimed runs measure cells in parallel via rayon (depth, size and
-/// swap counts do not depend on wall-clock); timed runs measure serially
-/// so time samples are not distorted by core contention — the same
-/// discipline [`crate::experiments::figure5`] applies.
-pub fn run_bench(config: &BenchConfig) -> BenchReport {
-    let timing = config.timing;
-    let seeds = config.seeds;
-    let circuit_seeds = config.circuit_seeds;
-
-    let mut jobs: Vec<(usize, WorkloadClass, RouterKind)> = Vec::new();
-    for &side in &config.sides {
-        for class in WorkloadClass::bench_classes() {
-            for router in bench_routers() {
-                jobs.push((side, class, router));
-            }
-        }
-    }
-    let measure = |(side, class, router): (usize, WorkloadClass, RouterKind)| -> BenchCell {
-        measure_bench_cell(side, class, &router, seeds, timing)
-    };
-
-    let mut circuit_jobs: Vec<(usize, CircuitClass, RouterKind)> = Vec::new();
-    for &side in &config.circuit_sides {
-        for class in CircuitClass::all_classes() {
-            for router in circuit_routers() {
-                circuit_jobs.push((side, class, router));
-            }
-        }
-    }
-    let measure_circuit =
-        |(side, class, router): (usize, CircuitClass, RouterKind)| -> CircuitBenchCell {
-            measure_circuit_cell(side, class, &router, circuit_seeds, timing)
-        };
-
-    let defect_seeds = config.defect_seeds;
-    let mut defect_jobs: Vec<(usize, &'static str, &'static str)> = Vec::new();
-    for &side in &config.defect_sides {
-        for kind in DEFECT_TOPOLOGY_AXIS {
-            for router in DEFECT_ROUTER_AXIS {
-                defect_jobs.push((side, kind, router));
-            }
-        }
-    }
-    let measure_defect = |(side, kind, router): (usize, &str, &str)| -> DefectBenchCell {
-        measure_defect_cell(side, kind, router, defect_seeds, timing)
-    };
-
-    let (mut cells, mut circuit_cells, mut defect_cells): (
-        Vec<BenchCell>,
-        Vec<CircuitBenchCell>,
-        Vec<DefectBenchCell>,
-    ) = if timing {
-        (
-            jobs.into_iter().map(measure).collect(),
-            circuit_jobs.into_iter().map(measure_circuit).collect(),
-            defect_jobs.into_iter().map(measure_defect).collect(),
-        )
+/// Parallel runs measure via rayon, which only untimed runs may use
+/// (depth, size and counters do not depend on wall-clock); timed runs
+/// measure serially so time samples are not distorted by core contention
+/// — the same discipline [`crate::experiments::figure5`] applies.
+fn measure_matrix<J: Send>(
+    jobs: Vec<J>,
+    parallel: bool,
+    measure: impl Fn(J) -> BenchCell + Send + Sync,
+) -> Vec<BenchCell> {
+    let mut cells: Vec<BenchCell> = if parallel {
+        jobs.into_par_iter().map(measure).collect()
     } else {
-        (
-            jobs.into_par_iter().map(measure).collect(),
-            circuit_jobs.into_par_iter().map(measure_circuit).collect(),
-            defect_jobs.into_par_iter().map(measure_defect).collect(),
-        )
+        jobs.into_iter().map(measure).collect()
     };
-    canonical_key_order(&mut cells, BenchCell::key);
-    canonical_key_order(&mut circuit_cells, CircuitBenchCell::key);
-    canonical_key_order(&mut defect_cells, DefectBenchCell::key);
-    // Service cells always run serially: each cell owns a worker pool,
-    // and timed throughput must not fight rayon for cores.
-    let mut service_cells = Vec::new();
-    for &side in &config.service_sides {
-        for workers in SERVICE_WORKER_AXIS {
-            service_cells.push(measure_service_cell(
-                side,
-                workers,
-                config.service_seeds,
-                timing,
-            ));
-        }
-    }
-    service_cells.sort_by_key(ServiceBenchCell::key);
-    // Daemon cells likewise run serially: each cell owns a live TCP
-    // daemon with its own worker pool and client threads.
-    let mut daemon_cells = Vec::new();
-    for &clients in &config.daemon_clients {
-        daemon_cells.push(measure_daemon_cell(clients, timing));
-    }
-    daemon_cells.sort_by_key(DaemonBenchCell::key);
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        env: BenchEnv::capture(),
-        config: config.clone(),
-        cells,
-        circuit_cells,
-        defect_cells,
-        service_cells,
-        daemon_cells,
-    }
+    cells.sort_by(key_order);
+    cells
 }
 
-/// A focused permutation-only run for router smoke checks (`repro bench
-/// --routers`): the permutation matrix restricted to `routers`, every
-/// other matrix skipped. Reuses the run configuration (sides, seeds,
-/// timing) and the report schema, so the output is a valid `BENCH.json`
-/// whose circuit/defect/service/daemon matrices are empty.
+/// Run the full benchmark: the permutation matrix over
+/// [`bench_routers`], the circuit matrix ([`circuit_routers`] ×
+/// [`CircuitClass::all_classes`] × `config.circuit_sides`), the defect,
+/// service and daemon matrices, each in key order.
+pub fn run_bench(config: &BenchConfig) -> BenchReport {
+    let (timing, parallel) = (config.timing, !config.timing);
+    let mut report = run_router_smoke(config, &bench_routers());
+    let jobs = product(
+        &config.circuit_sides,
+        &CircuitClass::all_classes(),
+        &circuit_routers(),
+    );
+    report.circuit_cells = measure_matrix(jobs, parallel, |(side, class, router)| {
+        measure_circuit_cell(side, class, &router, config.circuit_seeds, timing)
+    });
+    let jobs = product(
+        &config.defect_sides,
+        &DEFECT_TOPOLOGY_AXIS,
+        &DEFECT_ROUTER_AXIS,
+    );
+    report.defect_cells = measure_matrix(jobs, parallel, |(side, kind, router)| {
+        measure_defect_cell(side, kind, router, config.defect_seeds, timing)
+    });
+    // Service and daemon cells always run serially: each cell owns a
+    // worker pool (a daemon also its client threads), and timed
+    // throughput must not fight rayon for cores.
+    let jobs: Vec<(usize, usize)> = config
+        .service_sides
+        .iter()
+        .flat_map(|&side| SERVICE_WORKER_AXIS.map(|workers| (side, workers)))
+        .collect();
+    report.service_cells = measure_matrix(jobs, false, |(side, workers)| {
+        measure_service_cell(side, workers, config.service_seeds, timing)
+    });
+    report.daemon_cells = measure_matrix(config.daemon_clients.clone(), false, |clients| {
+        measure_daemon_cell(clients, timing)
+    });
+    report
+}
+
+/// The permutation matrix alone, restricted to `routers`, for router
+/// smoke checks (`repro bench --routers`). Reuses the run configuration
+/// (sides, seeds, timing) and the report schema, so the output is a valid
+/// `BENCH.json` whose other matrices are empty.
 pub fn run_router_smoke(config: &BenchConfig, routers: &[RouterKind]) -> BenchReport {
-    let timing = config.timing;
-    let seeds = config.seeds;
-    let mut jobs: Vec<(usize, WorkloadClass, RouterKind)> = Vec::new();
-    for &side in &config.sides {
-        for class in WorkloadClass::bench_classes() {
-            for router in routers {
-                jobs.push((side, class, router.clone()));
-            }
-        }
-    }
-    let measure = |(side, class, router): (usize, WorkloadClass, RouterKind)| -> BenchCell {
-        measure_bench_cell(side, class, &router, seeds, timing)
-    };
-    let mut cells: Vec<BenchCell> = if timing {
-        jobs.into_iter().map(measure).collect()
-    } else {
-        jobs.into_par_iter().map(measure).collect()
-    };
-    canonical_key_order(&mut cells, BenchCell::key);
+    let jobs = product(&config.sides, &WorkloadClass::bench_classes(), routers);
+    let cells = measure_matrix(jobs, !config.timing, |(side, class, router)| {
+        measure_bench_cell(side, class, &router, config.seeds, config.timing)
+    });
     BenchReport {
         schema_version: SCHEMA_VERSION,
         env: BenchEnv::capture(),
@@ -925,7 +1063,54 @@ pub fn run_router_smoke(config: &BenchConfig, routers: &[RouterKind]) -> BenchRe
     }
 }
 
+/// The `name` member of `v` converted by `read`, or an error naming the
+/// field when it is absent or `read` rejects it.
+fn member<'a, T>(
+    v: &'a serde_json::Value,
+    name: &str,
+    read: impl FnOnce(&'a serde_json::Value) -> Option<T>,
+) -> Result<T, String> {
+    v.get(name)
+        .and_then(read)
+        .ok_or_else(|| format!("field {name:?} is missing or malformed"))
+}
+
+/// Read one matrix's cells back from a parsed report.
+fn read_matrix(doc: &serde_json::Value, matrix: &'static Matrix) -> Result<Vec<BenchCell>, String> {
+    let items = member(doc, matrix.name, serde_json::Value::as_array)?;
+    let mut cells: Vec<BenchCell> = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let values = matrix
+            .fields
+            .iter()
+            .map(|&(name, kind)| member(item, name, |v| Field::read(kind, v)))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("{}[{i}]: {e}", matrix.name))?;
+        let cell = BenchCell::new(matrix, values);
+        if cells.iter().any(|c| c.key() == cell.key()) {
+            return Err(format!(
+                "{}: duplicate cell {}",
+                matrix.name,
+                cell.key_string()
+            ));
+        }
+        cells.push(cell);
+    }
+    Ok(cells)
+}
+
 impl BenchReport {
+    /// The five matrices with their descriptions, in serialized order.
+    fn matrices(&self) -> [(&'static Matrix, &[BenchCell]); 5] {
+        [
+            (&PERMUTATION, &self.cells),
+            (&CIRCUIT, &self.circuit_cells),
+            (&DEFECT, &self.defect_cells),
+            (&SERVICE, &self.service_cells),
+            (&DAEMON, &self.daemon_cells),
+        ]
+    }
+
     /// Serialize to the canonical `BENCH.json` encoding: pretty-printed
     /// JSON with declaration-ordered keys and a trailing newline. For a
     /// fixed configuration with timing disabled, the output is
@@ -937,216 +1122,67 @@ impl BenchReport {
     }
 
     /// Parse a report back from its JSON encoding (e.g. a committed
-    /// baseline). Rejects schema-version mismatches and malformed cells.
+    /// baseline). Rejects a schema version other than [`SCHEMA_VERSION`],
+    /// a missing or malformed field (a fractional integer included), and
+    /// two cells of one matrix with the same key.
     pub fn from_json(input: &str) -> Result<BenchReport, String> {
+        use serde_json::Value;
         let doc = serde_json::from_str(input).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing schema_version")?;
-        if version != SCHEMA_VERSION {
+        let schema_version = member(&doc, "schema_version", Value::as_u64)?;
+        if schema_version != SCHEMA_VERSION {
             return Err(format!(
-                "schema_version {version} != supported {SCHEMA_VERSION}; regenerate the baseline"
+                "schema_version {schema_version} != supported {SCHEMA_VERSION}; regenerate the baseline"
             ));
         }
-        let str_field = |v: &serde_json::Value, key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(|x| x.as_str())
-                .ok_or_else(|| format!("missing string field {key:?}"))?
-                .to_string())
-        };
-        let num_field = |v: &serde_json::Value, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        // Strict: fractional or negative values are malformed, not
-        // truncatable — a hand-edited "side": 4.5 must not silently
-        // collide with the real side-4 cell.
-        let uint_field = |v: &serde_json::Value, key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .map(|x| x as usize)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
-        let summary_field = |v: &serde_json::Value, key: &str| -> Result<SampleSummary, String> {
-            let s = v
-                .get(key)
-                .ok_or_else(|| format!("missing summary {key:?}"))?;
-            Ok(SampleSummary {
-                n: uint_field(s, "n")?,
-                mean: num_field(s, "mean")?,
-                min: num_field(s, "min")?,
-                p50: num_field(s, "p50")?,
-                p90: num_field(s, "p90")?,
-                max: num_field(s, "max")?,
+        let env = member(&doc, "env", Some)?;
+        let config = member(&doc, "config", Some)?;
+        let text = |name| member(env, name, |v| v.as_str().map(String::from));
+        let count = |name| member(config, name, Value::as_u64);
+        let sizes = |name| {
+            member(config, name, |v| {
+                v.as_array()?
+                    .iter()
+                    .map(|x| usize::try_from(x.as_u64()?).ok())
+                    .collect()
             })
         };
-        let bool_field = |v: &serde_json::Value, key: &str| -> Result<bool, String> {
-            v.get(key)
-                .and_then(|x| x.as_bool())
-                .ok_or_else(|| format!("missing boolean field {key:?}"))
-        };
-        let side_list = |v: &serde_json::Value, key: &str| -> Result<Vec<usize>, String> {
-            v.get(key)
-                .and_then(|x| x.as_array())
-                .ok_or_else(|| format!("missing config.{key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .map(|s| s as usize)
-                        .ok_or_else(|| "bad side".to_string())
-                })
-                .collect()
-        };
-        let env_v = doc.get("env").ok_or("missing env")?;
-        let config_v = doc.get("config").ok_or("missing config")?;
-        let cells_v = doc
-            .get("cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing cells array")?;
-        let mut cells = Vec::with_capacity(cells_v.len());
-        for c in cells_v {
-            cells.push(BenchCell {
-                router: str_field(c, "router")?,
-                class: str_field(c, "class")?,
-                side: uint_field(c, "side")?,
-                qubits: uint_field(c, "qubits")?,
-                depth: summary_field(c, "depth")?,
-                size: summary_field(c, "size")?,
-                lower_bound: summary_field(c, "lower_bound")?,
-                time_ms: summary_field(c, "time_ms")?,
-            });
-        }
-        let u64_field = |v: &serde_json::Value, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
-        let circuit_cells_v = doc
-            .get("circuit_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing circuit_cells array")?;
-        let mut circuit_cells = Vec::with_capacity(circuit_cells_v.len());
-        for c in circuit_cells_v {
-            circuit_cells.push(CircuitBenchCell {
-                router: str_field(c, "router")?,
-                class: str_field(c, "class")?,
-                side: uint_field(c, "side")?,
-                qubits: uint_field(c, "qubits")?,
-                logical_qubits: uint_field(c, "logical_qubits")?,
-                logical_gates: uint_field(c, "logical_gates")?,
-                logical_two_qubit: uint_field(c, "logical_two_qubit")?,
-                statevector_checked: bool_field(c, "statevector_checked")?,
-                swaps: summary_field(c, "swaps")?,
-                routing_depth: summary_field(c, "routing_depth")?,
-                invocations: summary_field(c, "invocations")?,
-                output_depth: summary_field(c, "output_depth")?,
-                time_ms: summary_field(c, "time_ms")?,
-            });
-        }
-        let defect_cells_v = doc
-            .get("defect_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing defect_cells array")?;
-        let mut defect_cells = Vec::with_capacity(defect_cells_v.len());
-        for c in defect_cells_v {
-            defect_cells.push(DefectBenchCell {
-                topology: str_field(c, "topology")?,
-                router: str_field(c, "router")?,
-                side: uint_field(c, "side")?,
-                qubits: uint_field(c, "qubits")?,
-                depth: summary_field(c, "depth")?,
-                size: summary_field(c, "size")?,
-                lower_bound: summary_field(c, "lower_bound")?,
-                time_ms: summary_field(c, "time_ms")?,
-            });
-        }
-        let service_cells_v = doc
-            .get("service_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing service_cells array")?;
-        let mut service_cells = Vec::with_capacity(service_cells_v.len());
-        for c in service_cells_v {
-            service_cells.push(ServiceBenchCell {
-                side: uint_field(c, "side")?,
-                workers: uint_field(c, "workers")?,
-                jobs: uint_field(c, "jobs")?,
-                cache_hits: u64_field(c, "cache_hits")?,
-                cache_misses: u64_field(c, "cache_misses")?,
-                cache_evictions: u64_field(c, "cache_evictions")?,
-                hit_rate: num_field(c, "hit_rate")?,
-                jobs_per_sec: num_field(c, "jobs_per_sec")?,
-            });
-        }
-        let daemon_cells_v = doc
-            .get("daemon_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing daemon_cells array")?;
-        let mut daemon_cells = Vec::with_capacity(daemon_cells_v.len());
-        for c in daemon_cells_v {
-            daemon_cells.push(DaemonBenchCell {
-                clients: uint_field(c, "clients")?,
-                jobs: uint_field(c, "jobs")?,
-                cache_hits: u64_field(c, "cache_hits")?,
-                cache_misses: u64_field(c, "cache_misses")?,
-                cache_evictions: u64_field(c, "cache_evictions")?,
-                hit_rate: num_field(c, "hit_rate")?,
-                jobs_per_sec: num_field(c, "jobs_per_sec")?,
-            });
-        }
         Ok(BenchReport {
-            schema_version: version,
+            schema_version,
             env: BenchEnv {
-                version: str_field(env_v, "version")?,
-                os: str_field(env_v, "os")?,
-                arch: str_field(env_v, "arch")?,
-                debug_assertions: bool_field(env_v, "debug_assertions")?,
+                version: text("version")?,
+                os: text("os")?,
+                arch: text("arch")?,
+                debug_assertions: member(env, "debug_assertions", Value::as_bool)?,
             },
             config: BenchConfig {
-                sides: side_list(config_v, "sides")?,
-                seeds: config_v
-                    .get("seeds")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("missing config.seeds")?,
-                timing: bool_field(config_v, "timing")?,
-                circuit_sides: side_list(config_v, "circuit_sides")?,
-                circuit_seeds: config_v
-                    .get("circuit_seeds")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("missing config.circuit_seeds")?,
-                service_sides: side_list(config_v, "service_sides")?,
-                service_seeds: config_v
-                    .get("service_seeds")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("missing config.service_seeds")?,
-                defect_sides: side_list(config_v, "defect_sides")?,
-                defect_seeds: config_v
-                    .get("defect_seeds")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("missing config.defect_seeds")?,
-                daemon_clients: side_list(config_v, "daemon_clients")?,
+                sides: sizes("sides")?,
+                seeds: count("seeds")?,
+                timing: member(config, "timing", Value::as_bool)?,
+                circuit_sides: sizes("circuit_sides")?,
+                circuit_seeds: count("circuit_seeds")?,
+                service_sides: sizes("service_sides")?,
+                service_seeds: count("service_seeds")?,
+                defect_sides: sizes("defect_sides")?,
+                defect_seeds: count("defect_seeds")?,
+                daemon_clients: sizes("daemon_clients")?,
             },
-            cells,
-            circuit_cells,
-            defect_cells,
-            service_cells,
-            daemon_cells,
+            cells: read_matrix(&doc, &PERMUTATION)?,
+            circuit_cells: read_matrix(&doc, &CIRCUIT)?,
+            defect_cells: read_matrix(&doc, &DEFECT)?,
+            service_cells: read_matrix(&doc, &SERVICE)?,
+            daemon_cells: read_matrix(&doc, &DAEMON)?,
         })
     }
 }
 
-/// One metric comparison between a current cell and its baseline cell.
-#[derive(Debug, Clone, Serialize)]
+/// One gated-metric comparison between a current cell and its baseline
+/// cell.
+#[derive(Debug, Clone)]
 pub struct CellDelta {
-    /// Router label.
-    pub router: String,
-    /// Class label.
-    pub class: String,
-    /// Grid side.
-    pub side: usize,
-    /// Which metric regressed-or-not: `"depth"` or `"time_ms"`.
-    pub metric: String,
+    /// The cell's name ([`BenchCell::key_string`]).
+    pub cell: String,
+    /// The compared summary field, e.g. `"depth"` or `"time_ms"`.
+    pub metric: &'static str,
     /// Baseline mean.
     pub baseline_mean: f64,
     /// Current mean.
@@ -1160,10 +1196,10 @@ pub struct CellDelta {
 }
 
 /// Outcome of a baseline comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckOutcome {
-    /// Every metric comparison made (depth always; time when both
-    /// reports captured timing).
+    /// Every metric comparison made (the gated metrics always; time when
+    /// both reports captured timing).
     pub deltas: Vec<CellDelta>,
     /// Baseline cell keys absent from the current report. A non-empty
     /// list fails the check: a gate that silently drops cells is no gate.
@@ -1194,221 +1230,78 @@ impl CheckOutcome {
     }
 }
 
-/// Compare `current` against `baseline` cell-by-cell, over both the
-/// permutation and the circuit matrices.
-///
-/// Permutation cells: mean depth is gated per class by
-/// [`depth_tolerance`]. Circuit cells: mean routing depth added *and*
-/// mean swap count are gated per class by [`circuit_tolerance`] (inside
-/// the transpile loop the two trade off differently than in isolated
-/// permutations, so both are pinned). Mean time is gated by
-/// [`TIME_TOLERANCE`] when both cells captured timing (`n > 0`).
-/// Size/lower bound (permutation) and invocations/output depth (circuit)
-/// are recorded but not gated.
+/// Compare `current` against `baseline` cell by cell, over every matrix
+/// that gates a metric ([`Matrix::gates`]); size, lower bound,
+/// invocations, output depth and the informational matrices are recorded
+/// but not gated.
 pub fn check_against_baseline(current: &BenchReport, baseline: &BenchReport) -> CheckOutcome {
-    let mut deltas = Vec::new();
-    let mut missing = Vec::new();
-    let mut seed_mismatches = Vec::new();
-    for base in &baseline.cells {
-        let Some(cur) = current.cells.iter().find(|c| c.key() == base.key()) else {
-            missing.push(format!(
-                "{}/{}/{side}x{side}",
-                base.router,
-                base.class,
-                side = base.side
-            ));
+    let mut outcome = CheckOutcome::default();
+    let matrices = baseline.matrices().into_iter().zip(current.matrices());
+    for ((matrix, base_cells), (_, cur_cells)) in matrices {
+        let Some(&(seed_metric, _)) = matrix.gates.first() else {
             continue;
         };
-        if cur.depth.n != base.depth.n {
-            seed_mismatches.push(format!(
-                "{}/{}/{side}x{side}: {} seeds vs baseline {}",
-                base.router,
-                base.class,
-                cur.depth.n,
-                base.depth.n,
-                side = base.side
-            ));
-            continue;
+        for base in base_cells {
+            let Some(cur) = cur_cells.iter().find(|c| c.key() == base.key()) else {
+                outcome.missing_in_current.push(base.key_string());
+                continue;
+            };
+            let (cur_n, base_n) = (cur.summary(seed_metric).n, base.summary(seed_metric).n);
+            if cur_n != base_n {
+                outcome.seed_mismatches.push(format!(
+                    "{}: {cur_n} seeds vs baseline {base_n}",
+                    base.key_string()
+                ));
+                continue;
+            }
+            for &(metric, tolerance) in matrix.gates {
+                let (cur_s, base_s) = (cur.summary(metric), base.summary(metric));
+                // Only timed runs record time samples; an empty summary
+                // has no mean to compare.
+                if cur_s.n == 0 || base_s.n == 0 {
+                    continue;
+                }
+                let (delta, tolerance) = (cur_s.mean_delta(base_s), tolerance(base));
+                outcome.deltas.push(CellDelta {
+                    cell: base.key_string(),
+                    metric,
+                    baseline_mean: base_s.mean,
+                    current_mean: cur_s.mean,
+                    delta,
+                    tolerance,
+                    regressed: delta > tolerance,
+                });
+            }
         }
-        let depth_tol = cell_depth_tolerance(&base.router, &base.class);
-        let depth_delta = cur.depth.mean_delta(&base.depth);
-        deltas.push(CellDelta {
-            router: base.router.clone(),
-            class: base.class.clone(),
-            side: base.side,
-            metric: "depth".to_string(),
-            baseline_mean: base.depth.mean,
-            current_mean: cur.depth.mean,
-            delta: depth_delta,
-            tolerance: depth_tol,
-            regressed: depth_delta > depth_tol,
-        });
-        if base.time_ms.n > 0 && cur.time_ms.n > 0 {
-            let time_delta = cur.time_ms.mean_delta(&base.time_ms);
-            deltas.push(CellDelta {
-                router: base.router.clone(),
-                class: base.class.clone(),
-                side: base.side,
-                metric: "time_ms".to_string(),
-                baseline_mean: base.time_ms.mean,
-                current_mean: cur.time_ms.mean,
-                delta: time_delta,
-                tolerance: TIME_TOLERANCE,
-                regressed: time_delta > TIME_TOLERANCE,
-            });
-        }
+        outcome.new_in_current.extend(
+            cur_cells
+                .iter()
+                .filter(|c| !base_cells.iter().any(|b| b.key() == c.key()))
+                .map(BenchCell::key_string),
+        );
     }
-    for base in &baseline.circuit_cells {
-        let Some(cur) = current.circuit_cells.iter().find(|c| c.key() == base.key()) else {
-            missing.push(format!(
-                "circuit:{}/{}/{side}x{side}",
-                base.router,
-                base.class,
-                side = base.side
-            ));
-            continue;
-        };
-        if cur.swaps.n != base.swaps.n {
-            seed_mismatches.push(format!(
-                "circuit:{}/{}/{side}x{side}: {} seeds vs baseline {}",
-                base.router,
-                base.class,
-                cur.swaps.n,
-                base.swaps.n,
-                side = base.side
-            ));
-            continue;
-        }
-        let tol = circuit_tolerance(&base.class);
-        for (metric, cur_s, base_s) in [
-            ("routing_depth", &cur.routing_depth, &base.routing_depth),
-            ("swaps", &cur.swaps, &base.swaps),
-        ] {
-            let delta = cur_s.mean_delta(base_s);
-            deltas.push(CellDelta {
-                router: base.router.clone(),
-                class: base.class.clone(),
-                side: base.side,
-                metric: metric.to_string(),
-                baseline_mean: base_s.mean,
-                current_mean: cur_s.mean,
-                delta,
-                tolerance: tol,
-                regressed: delta > tol,
-            });
-        }
-        if base.time_ms.n > 0 && cur.time_ms.n > 0 {
-            let time_delta = cur.time_ms.mean_delta(&base.time_ms);
-            deltas.push(CellDelta {
-                router: base.router.clone(),
-                class: base.class.clone(),
-                side: base.side,
-                metric: "time_ms".to_string(),
-                baseline_mean: base.time_ms.mean,
-                current_mean: cur.time_ms.mean,
-                delta: time_delta,
-                tolerance: TIME_TOLERANCE,
-                regressed: time_delta > TIME_TOLERANCE,
-            });
-        }
-    }
-    for base in &baseline.defect_cells {
-        let Some(cur) = current.defect_cells.iter().find(|c| c.key() == base.key()) else {
-            missing.push(format!(
-                "defect:{}/{}/side{}",
-                base.topology, base.router, base.side
-            ));
-            continue;
-        };
-        if cur.depth.n != base.depth.n {
-            seed_mismatches.push(format!(
-                "defect:{}/{}/side{}: {} seeds vs baseline {}",
-                base.topology, base.router, base.side, cur.depth.n, base.depth.n
-            ));
-            continue;
-        }
-        let depth_delta = cur.depth.mean_delta(&base.depth);
-        deltas.push(CellDelta {
-            router: base.router.clone(),
-            class: base.topology.clone(),
-            side: base.side,
-            metric: "depth".to_string(),
-            baseline_mean: base.depth.mean,
-            current_mean: cur.depth.mean,
-            delta: depth_delta,
-            tolerance: DEFECT_DEPTH_TOLERANCE,
-            regressed: depth_delta > DEFECT_DEPTH_TOLERANCE,
-        });
-        if base.time_ms.n > 0 && cur.time_ms.n > 0 {
-            let time_delta = cur.time_ms.mean_delta(&base.time_ms);
-            deltas.push(CellDelta {
-                router: base.router.clone(),
-                class: base.topology.clone(),
-                side: base.side,
-                metric: "time_ms".to_string(),
-                baseline_mean: base.time_ms.mean,
-                current_mean: cur.time_ms.mean,
-                delta: time_delta,
-                tolerance: TIME_TOLERANCE,
-                regressed: time_delta > TIME_TOLERANCE,
-            });
-        }
-    }
-    let mut new_in_current: Vec<String> = current
-        .cells
-        .iter()
-        .filter(|c| !baseline.cells.iter().any(|b| b.key() == c.key()))
-        .map(|c| format!("{}/{}/{side}x{side}", c.router, c.class, side = c.side))
-        .collect();
-    new_in_current.extend(
-        current
-            .circuit_cells
-            .iter()
-            .filter(|c| !baseline.circuit_cells.iter().any(|b| b.key() == c.key()))
-            .map(|c| {
-                format!(
-                    "circuit:{}/{}/{side}x{side}",
-                    c.router,
-                    c.class,
-                    side = c.side
-                )
-            }),
-    );
-    new_in_current.extend(
-        current
-            .defect_cells
-            .iter()
-            .filter(|c| !baseline.defect_cells.iter().any(|b| b.key() == c.key()))
-            .map(|c| format!("defect:{}/{}/side{}", c.topology, c.router, c.side)),
-    );
-    CheckOutcome { deltas, missing_in_current: missing, new_in_current, seed_mismatches }
+    outcome
 }
 
 /// Render a markdown delta table for the given comparisons (typically
-/// [`CheckOutcome::regressions`], worst first).
+/// [`CheckOutcome::regressions`]), worst first.
 pub fn delta_table_markdown(deltas: &[&CellDelta]) -> String {
     let mut out = String::from(
-        "| router | class | n×n | metric | baseline | current | delta | tolerance |\n\
-         |---|---|---|---|---|---|---|---|\n",
+        "| cell | metric | baseline | current | delta | tolerance |\n\
+         |---|---|---|---|---|---|\n",
     );
-    let mut sorted: Vec<&&CellDelta> = deltas.iter().collect();
-    sorted.sort_by(|a, b| {
-        b.delta
-            .partial_cmp(&a.delta)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let mut sorted = deltas.to_vec();
+    sorted.sort_by(|a, b| b.delta.partial_cmp(&a.delta).unwrap_or(Ordering::Equal));
     for d in sorted {
         let _ = writeln!(
             out,
-            "| {} | {} | {side}×{side} | {} | {:.3} | {:.3} | {:+.1}% | {:.1}% |",
-            d.router,
-            d.class,
+            "| {} | {} | {:.3} | {:.3} | {:+.1}% | {:.1}% |",
+            d.cell,
             d.metric,
             d.baseline_mean,
             d.current_mean,
             d.delta * 100.0,
             d.tolerance * 100.0,
-            side = d.side,
         );
     }
     out
@@ -1452,7 +1345,13 @@ mod tests {
         let keys: Vec<_> = report
             .cells
             .iter()
-            .map(|c| (c.router.clone(), c.class.clone(), c.side))
+            .map(|c| {
+                (
+                    c.str("router").to_string(),
+                    c.str("class").to_string(),
+                    c.int("side"),
+                )
+            })
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -1460,7 +1359,13 @@ mod tests {
         let ckeys: Vec<_> = report
             .circuit_cells
             .iter()
-            .map(|c| (c.router.clone(), c.class.clone(), c.side))
+            .map(|c| {
+                (
+                    c.str("router").to_string(),
+                    c.str("class").to_string(),
+                    c.int("side"),
+                )
+            })
             .collect();
         let mut csorted = ckeys.clone();
         csorted.sort();
@@ -1476,21 +1381,28 @@ mod tests {
             2,
             false,
         );
-        assert_eq!(cell.qubits, 16);
-        assert_eq!(cell.logical_qubits, 10);
-        assert!(cell.logical_two_qubit > 0);
+        assert_eq!(cell.int("qubits"), 16);
+        assert_eq!(cell.int("logical_qubits"), 10);
+        assert!(cell.int("logical_two_qubit") > 0);
         // 10 logical qubits is within the simulator cutoff: every seed
         // was statevector-verified against the logical circuit.
-        assert!(cell.statevector_checked);
-        assert!(cell.swaps.mean > 0.0, "scattered replay must route");
-        assert_eq!(cell.swaps.n, 2);
-        assert_eq!(cell.time_ms.n, 0, "untimed cell records no samples");
+        assert!(cell.flag("statevector_checked"));
+        assert!(
+            cell.summary("swaps").mean > 0.0,
+            "scattered replay must route"
+        );
+        assert_eq!(cell.summary("swaps").n, 2);
+        assert_eq!(
+            cell.summary("time_ms").n,
+            0,
+            "untimed cell records no samples"
+        );
 
         // Full-occupancy classes exceed the cutoff but still pass the
         // structural verification tiers.
         let wide = measure_circuit_cell(4, CircuitClass::SparseRandom, &RouterKind::Ats, 1, false);
-        assert!(!wide.statevector_checked);
-        assert_eq!(wide.logical_qubits, 16);
+        assert!(!wide.flag("statevector_checked"));
+        assert_eq!(wide.int("logical_qubits"), 16);
     }
 
     #[test]
@@ -1500,32 +1412,39 @@ mod tests {
         let keys: Vec<_> = report
             .service_cells
             .iter()
-            .map(ServiceBenchCell::key)
+            .map(|c| (c.int("side"), c.int("workers")))
             .collect();
         assert_eq!(keys, vec![(4, 1), (4, 4)]);
         let reference = &report.service_cells[0];
-        let jobs = service_jobs(4, 1).len();
-        assert_eq!(reference.jobs, jobs);
+        let jobs = service_jobs(4, 1).len() as u64;
+        assert_eq!(reference.int("jobs"), jobs);
         // Two passes over the class pool: at least the entire second pass
         // hits (cross-class canonical collisions can only add more — on a
         // 4x4 grid `random`, `block4` and `overlap8s4` even generate the
         // same instance).
-        assert_eq!(reference.cache_hits + reference.cache_misses, jobs as u64);
-        assert!(reference.cache_hits >= jobs as u64 / 2, "{reference:?}");
-        assert!(reference.cache_misses >= 1, "{reference:?}");
-        assert!(reference.hit_rate >= 0.5 && reference.hit_rate < 1.0);
         assert_eq!(
-            reference.jobs_per_sec, 0.0,
+            reference.int("cache_hits") + reference.int("cache_misses"),
+            jobs
+        );
+        assert!(reference.int("cache_hits") >= jobs / 2, "{reference:?}");
+        assert!(reference.int("cache_misses") >= 1, "{reference:?}");
+        assert!(reference.float("hit_rate") >= 0.5 && reference.float("hit_rate") < 1.0);
+        assert_eq!(
+            reference.float("jobs_per_sec"),
+            0.0,
             "untimed cells record no throughput"
         );
         for cell in &report.service_cells[1..] {
-            assert_eq!(cell.cache_hits, reference.cache_hits);
-            assert_eq!(cell.cache_misses, reference.cache_misses);
-            assert_eq!(cell.cache_evictions, reference.cache_evictions);
+            assert_eq!(cell.int("cache_hits"), reference.int("cache_hits"));
+            assert_eq!(cell.int("cache_misses"), reference.int("cache_misses"));
+            assert_eq!(
+                cell.int("cache_evictions"),
+                reference.int("cache_evictions")
+            );
         }
         // Timed measurement produces a real throughput number.
         let timed = measure_service_cell(4, 2, 1, true);
-        assert!(timed.jobs_per_sec > 0.0);
+        assert!(timed.float("jobs_per_sec") > 0.0);
     }
 
     #[test]
@@ -1535,33 +1454,37 @@ mod tests {
         let keys: Vec<_> = report
             .daemon_cells
             .iter()
-            .map(DaemonBenchCell::key)
+            .map(|c| c.int("clients"))
             .collect();
         assert_eq!(keys, vec![1, 2]);
         let batch_len = DAEMON_BENCH_JOBS
             .lines()
             .filter(|l| !l.trim().is_empty())
-            .count();
+            .count() as u64;
         let single = &report.daemon_cells[0];
-        assert_eq!(single.jobs, batch_len);
-        assert_eq!(single.cache_hits + single.cache_misses, batch_len as u64);
-        assert_eq!(single.cache_evictions, 0, "{single:?}");
+        assert_eq!(single.int("jobs"), batch_len);
         assert_eq!(
-            single.jobs_per_sec, 0.0,
+            single.int("cache_hits") + single.int("cache_misses"),
+            batch_len
+        );
+        assert_eq!(single.int("cache_evictions"), 0, "{single:?}");
+        assert_eq!(
+            single.float("jobs_per_sec"),
+            0.0,
             "untimed cells record no throughput"
         );
         // The distinct-key count is interleaving-independent: N clients
         // replaying the same batch miss exactly once per distinct key.
         let double = &report.daemon_cells[1];
-        assert_eq!(double.jobs, 2 * batch_len);
-        assert_eq!(double.cache_misses, single.cache_misses);
+        assert_eq!(double.int("jobs"), 2 * batch_len);
+        assert_eq!(double.int("cache_misses"), single.int("cache_misses"));
         assert_eq!(
-            double.cache_hits,
-            2 * batch_len as u64 - single.cache_misses
+            double.int("cache_hits"),
+            2 * batch_len - single.int("cache_misses")
         );
         // Timed measurement produces a real throughput number.
         let timed = measure_daemon_cell(2, true);
-        assert!(timed.jobs_per_sec > 0.0);
+        assert!(timed.float("jobs_per_sec") > 0.0);
     }
 
     #[test]
@@ -1579,11 +1502,42 @@ mod tests {
     }
 
     #[test]
+    fn committed_reports_round_trip_byte_for_byte() {
+        // Every matrix, every field kind, and the committed key order.
+        for text in [
+            include_str!("../../../benchmarks/BENCH_baseline.json"),
+            include_str!("../../../benchmarks/BENCH_grid_large.json"),
+        ] {
+            let report = BenchReport::from_json(text).expect("parse a committed report");
+            assert_eq!(report.to_json(), text);
+        }
+    }
+
+    #[test]
     fn from_json_rejects_fractional_integer_fields() {
         let report = run_bench(&tiny_config());
         let tampered = report.to_json().replacen("\"side\": 4", "\"side\": 4.5", 1);
         let err = BenchReport::from_json(&tampered).unwrap_err();
         assert!(err.contains("side"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_missing_fields() {
+        let report = run_bench(&tiny_config());
+        let missing = report.to_json().replacen("\"qubits\": 16,", "", 1);
+        let err = BenchReport::from_json(&missing).unwrap_err();
+        assert!(err.contains("\"qubits\""), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_duplicate_cell_keys() {
+        // A hand-merged baseline holding one cell twice would otherwise
+        // pass the check on whichever copy comes first.
+        let mut report = run_bench(&tiny_config());
+        report.circuit_cells.push(report.circuit_cells[1].clone());
+        let err = BenchReport::from_json(&report.to_json()).unwrap_err();
+        let key = report.circuit_cells[1].key_string();
+        assert!(err.contains(&key), "{err} should name {key}");
     }
 
     #[test]
@@ -1618,9 +1572,9 @@ mod tests {
         let cell = baseline
             .circuit_cells
             .iter_mut()
-            .find(|c| c.swaps.mean > 1.0)
+            .find(|c| c.summary("swaps").mean > 1.0)
             .expect("some circuit cell routes");
-        cell.swaps.mean /= 1.2;
+        cell.summary_mut("swaps").mean /= 1.2;
         let outcome = check_against_baseline(&current, &baseline);
         assert!(!outcome.passed());
         let regs = outcome.regressions();
@@ -1648,7 +1602,8 @@ mod tests {
         let current = run_bench(&tiny_config());
         let mut baseline = current.clone();
         // Pretend the baseline was 20% shallower than what we measure now.
-        baseline.cells[0].depth.mean = (current.cells[0].depth.mean / 1.2).max(0.1);
+        baseline.cells[0].summary_mut("depth").mean =
+            (current.cells[0].summary("depth").mean / 1.2).max(0.1);
         let outcome = check_against_baseline(&current, &baseline);
         assert!(!outcome.passed());
         let regs = outcome.regressions();
@@ -1663,14 +1618,14 @@ mod tests {
     fn runtime_regression_beyond_25_percent_fails() {
         let mut current = run_bench(&tiny_config());
         let mut baseline = current.clone();
-        baseline.cells[0].time_ms = SampleSummary::from_samples(&[1.0, 1.0]);
-        current.cells[0].time_ms = SampleSummary::from_samples(&[1.3, 1.3]);
+        *baseline.cells[0].summary_mut("time_ms") = SampleSummary::from_samples(&[1.0, 1.0]);
+        *current.cells[0].summary_mut("time_ms") = SampleSummary::from_samples(&[1.3, 1.3]);
         let outcome = check_against_baseline(&current, &baseline);
         let regs = outcome.regressions();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "time_ms");
         // 20% slower stays within tolerance.
-        current.cells[0].time_ms = SampleSummary::from_samples(&[1.2, 1.2]);
+        *current.cells[0].summary_mut("time_ms") = SampleSummary::from_samples(&[1.2, 1.2]);
         assert!(check_against_baseline(&current, &baseline).passed());
     }
 
@@ -1713,16 +1668,23 @@ mod tests {
         for kind in DEFECT_TOPOLOGY_AXIS {
             for router in DEFECT_ROUTER_AXIS {
                 let cell = measure_defect_cell(5, kind, router, 2, false);
-                assert_eq!(cell.topology, kind);
-                assert_eq!(cell.router, router);
-                assert_eq!(cell.qubits, defect_topology(kind, 5).len());
-                assert_eq!(cell.depth.n, 2);
+                assert_eq!(cell.str("topology"), kind);
+                assert_eq!(cell.str("router"), router);
+                assert_eq!(cell.int("qubits"), defect_topology(kind, 5).len() as u64);
+                assert_eq!(cell.summary("depth").n, 2);
                 assert!(
-                    cell.depth.mean >= cell.lower_bound.mean,
+                    cell.summary("depth").mean >= cell.summary("lower_bound").mean,
                     "{kind}/{router}: {cell:?}"
                 );
-                assert!(cell.size.mean > 0.0, "random workloads must move tokens");
-                assert_eq!(cell.time_ms.n, 0, "untimed cell records no samples");
+                assert!(
+                    cell.summary("size").mean > 0.0,
+                    "random workloads must move tokens"
+                );
+                assert_eq!(
+                    cell.summary("time_ms").n,
+                    0,
+                    "untimed cell records no samples"
+                );
             }
         }
     }
@@ -1731,13 +1693,13 @@ mod tests {
     fn injected_defect_regression_fails_the_check() {
         let current = run_bench(&tiny_config());
         let mut baseline = current.clone();
-        baseline.defect_cells[0].depth.mean /= 1.2;
+        baseline.defect_cells[0].summary_mut("depth").mean /= 1.2;
         let outcome = check_against_baseline(&current, &baseline);
         assert!(!outcome.passed());
         let regs = outcome.regressions();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "depth");
-        assert_eq!(regs[0].class, current.defect_cells[0].topology);
+        assert_eq!(regs[0].cell, current.defect_cells[0].key_string());
     }
 
     #[test]
@@ -1808,11 +1770,11 @@ mod tests {
             ] {
                 let cell = measure_bench_cell(side, class, &rival, seeds, false);
                 assert!(
-                    pf.depth.mean < cell.depth.mean,
+                    pf.summary("depth").mean < cell.summary("depth").mean,
                     "side {side}: pathfinder mean depth {} vs {} mean depth {}",
-                    pf.depth.mean,
+                    pf.summary("depth").mean,
                     rival.label(),
-                    cell.depth.mean
+                    cell.summary("depth").mean
                 );
             }
         }

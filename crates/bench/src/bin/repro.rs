@@ -1,20 +1,5 @@
-//! Regenerate every figure/table of the paper's evaluation, and produce
-//! the machine-readable benchmark record.
-//!
-//! ```text
-//! repro [fig4|fig5|hybrid|skinny|ablations|optgap|transpile|bench|all]
-//!       [--sides 4,8,16,32] [--seeds N] [--out DIR]
-//!       [--quick] [--no-time] [--baseline BENCH.json] [--check]
-//! repro batch --input jobs.jsonl [--output results.jsonl]
-//!       [--workers N] [--cache-capacity K] [--time]
-//!       [--trace out.jsonl [--trace-format jsonl|chrome]]
-//! repro batch --input jobs.jsonl --connect HOST:PORT [--output F]
-//! repro serve --addr HOST:PORT [--workers N] [--cache-capacity K]
-//!       [--queue-depth N] [--client-queue N]
-//! repro ctl --connect HOST:PORT (--stats [--pretty] | --metrics | --shutdown)
-//! repro topo --kind <grid|defect|heavy-hex|brick|torus>
-//!       [--rows R] [--cols C] [--defects 6,12] [--dot]
-//! ```
+//! Regenerate every figure/table of the paper's evaluation, produce the
+//! machine-readable benchmark record, and drive the routing service.
 //!
 //! Markdown tables print to stdout; CSV/JSON/SVG files land in `--out`
 //! (default `results/`). The `bench` subcommand writes `BENCH.json` and,
@@ -25,8 +10,12 @@
 //! `repro serve` daemon with `--connect`. The `serve` subcommand runs
 //! the long-lived routing daemon; `ctl` queries or drains it. The
 //! `topo` subcommand materializes a coupling topology and prints a
-//! summary or Graphviz DOT. Run `repro --help` for the authoritative
-//! usage (the `USAGE` string below).
+//! summary or Graphviz DOT.
+//!
+//! `repro --help` prints the usage, the `USAGE` text below. The flag
+//! table `FLAGS` is the one place that says which command accepts which
+//! flag and what value it takes; `check_combinations` holds the few rules
+//! that involve more than one flag.
 
 use qroute_bench::bench::{self, BenchConfig, BenchReport};
 use qroute_bench::experiments;
@@ -37,50 +26,8 @@ use qroute_service::{
     RetryingClient, RouteJob,
 };
 use qroute_topology::{gridlike, Grid, Topology};
-use std::path::PathBuf;
-
-struct Args {
-    command: String,
-    sides: Option<Vec<usize>>,
-    seeds: Option<u64>,
-    out: PathBuf,
-    quick: bool,
-    no_time: bool,
-    baseline: Option<PathBuf>,
-    check: bool,
-    circuit_sides: Option<Vec<usize>>,
-    routers: Option<Vec<String>>,
-    input: Option<PathBuf>,
-    output: Option<PathBuf>,
-    workers: Option<usize>,
-    cache_capacity: Option<usize>,
-    time: bool,
-    addr: Option<String>,
-    queue_depth: Option<usize>,
-    client_queue: Option<usize>,
-    default_deadline_ms: Option<u64>,
-    max_worker_restarts: Option<u64>,
-    chaos_panic_every: Option<u64>,
-    chaos_latency_ms: Option<u64>,
-    chaos_latency_every: Option<u64>,
-    chaos_drop_after_bytes: Option<u64>,
-    chaos_drop_conns: Option<u32>,
-    chaos_torn_writes: bool,
-    retries: Option<u32>,
-    retry_base_ms: Option<u64>,
-    connect: Option<String>,
-    stats: bool,
-    metrics: bool,
-    pretty: bool,
-    shutdown: bool,
-    trace: Option<PathBuf>,
-    trace_format: Option<String>,
-    kind: Option<String>,
-    rows: Option<usize>,
-    cols: Option<usize>,
-    defects: Option<Vec<usize>>,
-    dot: bool,
-}
+use std::collections::BTreeMap;
+use std::path::Path;
 
 const USAGE: &str = "\
 repro — regenerate the paper's figures and tables, and drive the
@@ -217,565 +164,334 @@ Topo-only flags:
     --defects LIST    comma-separated dead vertex ids (defect kind only)
     --dot             emit Graphviz DOT on stdout instead of the summary";
 
+type Run = fn(&Args);
+
 fn usage_error(msg: String) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    fail(format!("{msg}\n\n{USAGE}"))
+}
+
+/// Exit 2 on a runtime error (an unreadable file, an unreachable daemon):
+/// the message alone, without the usage text.
+fn fail(msg: String) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut command: Option<String> = None;
-    let mut sides: Option<Vec<usize>> = None;
-    let mut seeds: Option<u64> = None;
-    let mut out = PathBuf::from("results");
-    let mut quick = false;
-    let mut no_time = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut check = false;
-    let mut circuit_sides: Option<Vec<usize>> = None;
-    let mut routers: Option<Vec<String>> = None;
-    let mut input: Option<PathBuf> = None;
-    let mut output: Option<PathBuf> = None;
-    let mut workers: Option<usize> = None;
-    let mut cache_capacity: Option<usize> = None;
-    let mut time = false;
-    let mut addr: Option<String> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut client_queue: Option<usize> = None;
-    let mut default_deadline_ms: Option<u64> = None;
-    let mut max_worker_restarts: Option<u64> = None;
-    let mut chaos_panic_every: Option<u64> = None;
-    let mut chaos_latency_ms: Option<u64> = None;
-    let mut chaos_latency_every: Option<u64> = None;
-    let mut chaos_drop_after_bytes: Option<u64> = None;
-    let mut chaos_drop_conns: Option<u32> = None;
-    let mut chaos_torn_writes = false;
-    let mut retries: Option<u32> = None;
-    let mut retry_base_ms: Option<u64> = None;
-    let mut connect: Option<String> = None;
-    let mut stats = false;
-    let mut metrics = false;
-    let mut pretty = false;
-    let mut shutdown = false;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_format: Option<String> = None;
-    let mut kind: Option<String> = None;
-    let mut rows: Option<usize> = None;
-    let mut cols: Option<usize> = None;
-    let mut defects: Option<Vec<usize>> = None;
-    let mut dot = false;
-    let mut out_set = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        match argv.get(*i) {
-            // A following flag token is a missing value, not a value —
-            // otherwise `--out --check` silently eats the next flag.
-            Some(v) if !v.starts_with('-') => v.clone(),
-            _ => usage_error(format!("{flag} requires a value")),
+/// Every command and what runs it.
+const COMMANDS: &[(&str, Run)] = &[
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("hybrid", run_hybrid),
+    ("skinny", run_skinny),
+    ("ablations", run_ablations),
+    ("optgap", run_optgap),
+    ("transpile", run_transpile),
+    ("bench", run_bench_cmd),
+    ("batch", run_batch_cmd),
+    ("serve", run_serve_cmd),
+    ("ctl", run_ctl_cmd),
+    ("topo", run_topo_cmd),
+    ("all", run_all),
+];
+
+/// The commands that sweep grid sides and seeds (`all` passes the sweep
+/// flags on to every figure it runs).
+const SWEEP: &[&str] = &[
+    "fig4",
+    "fig5",
+    "hybrid",
+    "skinny",
+    "ablations",
+    "optgap",
+    "transpile",
+    "bench",
+    "all",
+];
+const BENCH: &[&str] = &["bench"];
+const BATCH: &[&str] = &["batch"];
+const SERVE: &[&str] = &["serve"];
+const CTL: &[&str] = &["ctl"];
+const TOPO: &[&str] = &["topo"];
+
+/// Upper bounds of the integer types the flag values feed.
+const U64: u64 = u64::MAX;
+const U32: u64 = u32::MAX as u64;
+const USIZE: u64 = usize::MAX as u64;
+
+/// What value a flag takes.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// None: the flag is a switch.
+    Switch,
+    /// Any string (a path, an address, a label list).
+    Text,
+    /// An integer in `min..=max`.
+    Int(u64, u64),
+    /// A comma-separated list of integers, each at least the given minimum.
+    Ints(u64),
+    /// One of the given words.
+    OneOf(&'static [&'static str]),
+}
+
+/// Every flag: its name, its value, and the commands that accept it,
+/// grouped as `USAGE` lists them.
+const FLAGS: &[(&str, Kind, &[&str])] = &[
+    ("--sides", Kind::Ints(1), SWEEP),
+    ("--seeds", Kind::Int(1, U64), SWEEP),
+    ("--out", Kind::Text, SWEEP),
+    ("--quick", Kind::Switch, BENCH),
+    ("--no-time", Kind::Switch, BENCH),
+    ("--circuit-sides", Kind::Ints(1), BENCH),
+    ("--routers", Kind::Text, BENCH),
+    ("--baseline", Kind::Text, BENCH),
+    ("--check", Kind::Switch, BENCH),
+    ("--input", Kind::Text, BATCH),
+    ("--output", Kind::Text, BATCH),
+    ("--workers", Kind::Int(1, USIZE), &["batch", "serve"]),
+    ("--cache-capacity", Kind::Int(0, USIZE), &["batch", "serve"]),
+    ("--time", Kind::Switch, BATCH),
+    ("--trace", Kind::Text, BATCH),
+    ("--trace-format", Kind::OneOf(&["jsonl", "chrome"]), BATCH),
+    ("--connect", Kind::Text, &["batch", "ctl"]),
+    ("--retries", Kind::Int(0, U32), BATCH),
+    ("--retry-base-ms", Kind::Int(1, U64), BATCH),
+    ("--addr", Kind::Text, SERVE),
+    ("--queue-depth", Kind::Int(1, USIZE), SERVE),
+    ("--client-queue", Kind::Int(1, USIZE), SERVE),
+    ("--default-deadline-ms", Kind::Int(1, U64), SERVE),
+    ("--max-worker-restarts", Kind::Int(0, U64), SERVE),
+    ("--chaos-panic-every", Kind::Int(0, U64), SERVE),
+    ("--chaos-latency-ms", Kind::Int(0, U64), SERVE),
+    ("--chaos-latency-every", Kind::Int(0, U64), SERVE),
+    ("--chaos-drop-after-bytes", Kind::Int(0, U64), SERVE),
+    ("--chaos-drop-conns", Kind::Int(0, U32), SERVE),
+    ("--chaos-torn-writes", Kind::Switch, SERVE),
+    ("--stats", Kind::Switch, CTL),
+    ("--metrics", Kind::Switch, CTL),
+    ("--pretty", Kind::Switch, CTL),
+    ("--shutdown", Kind::Switch, CTL),
+    ("--kind", Kind::Text, TOPO),
+    ("--rows", Kind::Int(1, USIZE), TOPO),
+    ("--cols", Kind::Int(1, USIZE), TOPO),
+    ("--defects", Kind::Ints(0), TOPO),
+    ("--dot", Kind::Switch, TOPO),
+];
+
+impl Kind {
+    /// Exit with a usage error unless `raw` is a valid value of `flag`.
+    fn check(self, flag: &str, raw: &str) {
+        let int = |s: &str, min, max| s.parse().is_ok_and(|n: u64| (min..=max).contains(&n));
+        let (bad, wants) = match self {
+            Kind::Switch | Kind::Text => (None, String::new()),
+            Kind::Int(min, max) => (
+                Some(raw).filter(|s| !int(s, min, max)),
+                format!("{} integer", if min > 0 { "a positive" } else { "an" }),
+            ),
+            Kind::Ints(min) => (
+                raw.split(',').find(|s| !int(s.trim(), min, USIZE)),
+                format!("{}integers", if min > 0 { "positive " } else { "" }),
+            ),
+            Kind::OneOf(words) => (Some(raw).filter(|s| !words.contains(s)), words.join(" or ")),
+        };
+        if let Some(bad) = bad {
+            usage_error(format!("{flag} wants {wants}, got {bad:?}"));
         }
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--sides" => {
-                sides = Some(
-                    flag_value(&mut i, "--sides")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                usage_error(format!("--sides wants integers, got {s:?}"))
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--circuit-sides" => {
-                circuit_sides = Some(
-                    flag_value(&mut i, "--circuit-sides")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                usage_error(format!("--circuit-sides wants integers, got {s:?}"))
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--seeds" => {
-                let v = flag_value(&mut i, "--seeds");
-                seeds = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--seeds wants an integer, got {v:?}"))
-                }));
-            }
-            "--out" => {
-                out = PathBuf::from(flag_value(&mut i, "--out"));
-                out_set = true;
-            }
-            "--quick" => quick = true,
-            "--no-time" => no_time = true,
-            "--routers" => {
-                routers = Some(
-                    flag_value(&mut i, "--routers")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
-            }
-            "--baseline" => baseline = Some(PathBuf::from(flag_value(&mut i, "--baseline"))),
-            "--check" => check = true,
-            "--input" => input = Some(PathBuf::from(flag_value(&mut i, "--input"))),
-            "--output" => output = Some(PathBuf::from(flag_value(&mut i, "--output"))),
-            "--workers" => {
-                let v = flag_value(&mut i, "--workers");
-                let parsed = v
-                    .parse()
-                    .ok()
-                    .filter(|&w: &usize| w >= 1)
-                    .unwrap_or_else(|| {
-                        usage_error(format!("--workers wants a positive integer, got {v:?}"))
-                    });
-                workers = Some(parsed);
-            }
-            "--cache-capacity" => {
-                let v = flag_value(&mut i, "--cache-capacity");
-                cache_capacity = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--cache-capacity wants an integer, got {v:?}"))
-                }));
-            }
-            "--time" => time = true,
-            "--addr" => addr = Some(flag_value(&mut i, "--addr")),
-            "--queue-depth" => {
-                let v = flag_value(&mut i, "--queue-depth");
-                queue_depth = Some(v.parse().ok().filter(|&d: &usize| d >= 1).unwrap_or_else(
-                    || usage_error(format!("--queue-depth wants a positive integer, got {v:?}")),
-                ));
-            }
-            "--client-queue" => {
-                let v = flag_value(&mut i, "--client-queue");
-                client_queue = Some(v.parse().ok().filter(|&d: &usize| d >= 1).unwrap_or_else(
-                    || {
-                        usage_error(format!(
-                            "--client-queue wants a positive integer, got {v:?}"
-                        ))
-                    },
-                ));
-            }
-            "--default-deadline-ms" => {
-                let v = flag_value(&mut i, "--default-deadline-ms");
-                default_deadline_ms = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&ms: &u64| ms >= 1)
-                        .unwrap_or_else(|| {
-                            usage_error(format!(
-                                "--default-deadline-ms wants a positive integer, got {v:?}"
-                            ))
-                        }),
-                );
-            }
-            "--max-worker-restarts" => {
-                let v = flag_value(&mut i, "--max-worker-restarts");
-                max_worker_restarts = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--max-worker-restarts wants an integer, got {v:?}"))
-                }));
-            }
-            "--chaos-panic-every" => {
-                let v = flag_value(&mut i, "--chaos-panic-every");
-                chaos_panic_every = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--chaos-panic-every wants an integer, got {v:?}"))
-                }));
-            }
-            "--chaos-latency-ms" => {
-                let v = flag_value(&mut i, "--chaos-latency-ms");
-                chaos_latency_ms = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--chaos-latency-ms wants an integer, got {v:?}"))
-                }));
-            }
-            "--chaos-latency-every" => {
-                let v = flag_value(&mut i, "--chaos-latency-every");
-                chaos_latency_every = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--chaos-latency-every wants an integer, got {v:?}"))
-                }));
-            }
-            "--chaos-drop-after-bytes" => {
-                let v = flag_value(&mut i, "--chaos-drop-after-bytes");
-                chaos_drop_after_bytes = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!(
-                        "--chaos-drop-after-bytes wants an integer, got {v:?}"
-                    ))
-                }));
-            }
-            "--chaos-drop-conns" => {
-                let v = flag_value(&mut i, "--chaos-drop-conns");
-                chaos_drop_conns = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--chaos-drop-conns wants an integer, got {v:?}"))
-                }));
-            }
-            "--chaos-torn-writes" => chaos_torn_writes = true,
-            "--retries" => {
-                let v = flag_value(&mut i, "--retries");
-                retries = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(format!("--retries wants an integer, got {v:?}"))
-                }));
-            }
-            "--retry-base-ms" => {
-                let v = flag_value(&mut i, "--retry-base-ms");
-                retry_base_ms = Some(v.parse().ok().filter(|&ms: &u64| ms >= 1).unwrap_or_else(
-                    || {
-                        usage_error(format!(
-                            "--retry-base-ms wants a positive integer, got {v:?}"
-                        ))
-                    },
-                ));
-            }
-            "--connect" => connect = Some(flag_value(&mut i, "--connect")),
-            "--stats" => stats = true,
-            "--metrics" => metrics = true,
-            "--pretty" => pretty = true,
-            "--shutdown" => shutdown = true,
-            "--trace" => trace = Some(PathBuf::from(flag_value(&mut i, "--trace"))),
-            "--trace-format" => {
-                let v = flag_value(&mut i, "--trace-format");
-                if v != "jsonl" && v != "chrome" {
-                    usage_error(format!("--trace-format wants jsonl or chrome, got {v:?}"));
-                }
-                trace_format = Some(v);
-            }
-            "--kind" => kind = Some(flag_value(&mut i, "--kind")),
-            "--rows" => {
-                let v = flag_value(&mut i, "--rows");
-                rows = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&r: &usize| r >= 1)
-                        .unwrap_or_else(|| {
-                            usage_error(format!("--rows wants a positive integer, got {v:?}"))
-                        }),
-                );
-            }
-            "--cols" => {
-                let v = flag_value(&mut i, "--cols");
-                cols = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&c: &usize| c >= 1)
-                        .unwrap_or_else(|| {
-                            usage_error(format!("--cols wants a positive integer, got {v:?}"))
-                        }),
-                );
-            }
-            "--defects" => {
-                defects = Some(
-                    flag_value(&mut i, "--defects")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                usage_error(format!("--defects wants integers, got {s:?}"))
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--dot" => dot = true,
-            c if !c.starts_with('-') => match &command {
-                None => command = Some(c.to_string()),
-                Some(first) => usage_error(format!(
-                    "unexpected second command {c:?} (already got {first:?})"
-                )),
-            },
-            other => usage_error(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    let command = command.unwrap_or_else(|| "all".to_string());
-    if command != "bench" {
-        for (given, flag) in [
-            (quick, "--quick"),
-            (no_time, "--no-time"),
-            (baseline.is_some(), "--baseline"),
-            (check, "--check"),
-            (circuit_sides.is_some(), "--circuit-sides"),
-            (routers.is_some(), "--routers"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the bench command"));
-            }
-        }
-    }
-    if let Some(routers) = &routers {
-        if routers.is_empty() {
-            usage_error("--routers wants a non-empty router list".to_string());
-        }
-        if baseline.is_some() {
-            usage_error(
-                "--routers runs a partial matrix and cannot be checked against a \
-                 full --baseline"
-                    .to_string(),
-            );
-        }
-    }
-    if command != "batch" {
-        for (given, flag) in [
-            (input.is_some(), "--input"),
-            (output.is_some(), "--output"),
-            (time, "--time"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the batch command"));
-            }
-        }
-    }
-    if command != "batch" && command != "serve" {
-        for (given, flag) in [
-            (workers.is_some(), "--workers"),
-            (cache_capacity.is_some(), "--cache-capacity"),
-        ] {
-            if given {
-                usage_error(format!(
-                    "{flag} only applies to the batch and serve commands"
-                ));
-            }
-        }
-    }
-    if command != "serve" {
-        for (given, flag) in [
-            (addr.is_some(), "--addr"),
-            (queue_depth.is_some(), "--queue-depth"),
-            (client_queue.is_some(), "--client-queue"),
-            (default_deadline_ms.is_some(), "--default-deadline-ms"),
-            (max_worker_restarts.is_some(), "--max-worker-restarts"),
-            (chaos_panic_every.is_some(), "--chaos-panic-every"),
-            (chaos_latency_ms.is_some(), "--chaos-latency-ms"),
-            (chaos_latency_every.is_some(), "--chaos-latency-every"),
-            (chaos_drop_after_bytes.is_some(), "--chaos-drop-after-bytes"),
-            (chaos_drop_conns.is_some(), "--chaos-drop-conns"),
-            (chaos_torn_writes, "--chaos-torn-writes"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the serve command"));
-            }
-        }
-    } else if addr.is_none() {
-        usage_error("serve requires --addr <host:port>".to_string());
-    }
-    if command != "batch" && command != "ctl" && connect.is_some() {
-        usage_error("--connect only applies to the batch and ctl commands".to_string());
-    }
-    if command != "ctl" {
-        for (given, flag) in [
-            (stats, "--stats"),
-            (metrics, "--metrics"),
-            (pretty, "--pretty"),
-            (shutdown, "--shutdown"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the ctl command"));
-            }
-        }
-    } else {
-        if connect.is_none() {
-            usage_error("ctl requires --connect <host:port>".to_string());
-        }
-        if [stats, metrics, shutdown].iter().filter(|&&b| b).count() != 1 {
-            usage_error(
-                "ctl requires exactly one of --stats, --metrics, or --shutdown".to_string(),
-            );
-        }
-        if pretty && !stats {
-            usage_error("--pretty only applies to ctl --stats".to_string());
-        }
-    }
-    if matches!(command.as_str(), "batch" | "serve" | "ctl") {
-        // The sweep/bench flags mean nothing to the service layer.
-        for (given, flag) in [
-            (sides.is_some(), "--sides"),
-            (seeds.is_some(), "--seeds"),
-            (out_set, "--out"),
-        ] {
-            if given {
-                usage_error(format!("{flag} does not apply to the {command} command"));
-            }
-        }
-    }
-    if command != "batch" {
-        for (given, flag) in [
-            (retries.is_some(), "--retries"),
-            (retry_base_ms.is_some(), "--retry-base-ms"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the batch command"));
-            }
-        }
-    }
-    if command != "batch" {
-        for (given, flag) in [
-            (trace.is_some(), "--trace"),
-            (trace_format.is_some(), "--trace-format"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the batch command"));
-            }
-        }
-    }
-    if trace_format.is_some() && trace.is_none() {
-        usage_error("--trace-format requires --trace".to_string());
-    }
-    if command == "batch" {
-        if input.is_none() {
-            usage_error("batch requires --input <jobs.jsonl>".to_string());
-        }
-        if connect.is_none() {
-            for (given, flag) in [
-                (retries.is_some(), "--retries"),
-                (retry_base_ms.is_some(), "--retry-base-ms"),
-            ] {
-                if given {
-                    usage_error(format!(
-                        "{flag} only applies when batch routes through --connect \
-                         (an in-process engine has no connection to retry)"
-                    ));
-                }
-            }
-        }
-        if retry_base_ms.is_some() && retries.is_none() {
-            usage_error("--retry-base-ms requires --retries".to_string());
-        }
-        if connect.is_some() {
-            // The daemon owns the engine configuration; timing is off by
-            // design so daemon outcomes stay batch-identical.
-            for (given, flag) in [
-                (workers.is_some(), "--workers"),
-                (cache_capacity.is_some(), "--cache-capacity"),
-                (time, "--time"),
-                (trace.is_some(), "--trace"),
-            ] {
-                if given {
-                    usage_error(format!(
-                        "{flag} does not apply when batch routes through --connect \
-                         (the daemon owns its engine configuration)"
-                    ));
-                }
-            }
-        }
-    }
-    if command != "topo" {
-        for (given, flag) in [
-            (kind.is_some(), "--kind"),
-            (rows.is_some(), "--rows"),
-            (cols.is_some(), "--cols"),
-            (defects.is_some(), "--defects"),
-            (dot, "--dot"),
-        ] {
-            if given {
-                usage_error(format!("{flag} only applies to the topo command"));
-            }
-        }
-    } else if kind.is_none() {
-        usage_error("topo requires --kind <grid|defect|heavy-hex|brick|torus>".to_string());
-    }
-    if check && baseline.is_none() {
-        usage_error("--check requires --baseline".to_string());
-    }
-    Args {
-        command,
-        sides,
-        seeds,
-        out,
-        quick,
-        no_time,
-        baseline,
-        check,
-        circuit_sides,
-        routers,
-        input,
-        output,
-        workers,
-        cache_capacity,
-        time,
-        addr,
-        queue_depth,
-        client_queue,
-        default_deadline_ms,
-        max_worker_restarts,
-        chaos_panic_every,
-        chaos_latency_ms,
-        chaos_latency_every,
-        chaos_drop_after_bytes,
-        chaos_drop_conns,
-        chaos_torn_writes,
-        retries,
-        retry_base_ms,
-        connect,
-        stats,
-        metrics,
-        pretty,
-        shutdown,
-        trace,
-        trace_format,
-        kind,
-        rows,
-        cols,
-        defects,
-        dot,
     }
 }
 
+/// The parsed command line: the command, and the checked value of every
+/// flag given (the last one wins when a flag repeats; a switch holds "").
+struct Args {
+    command: &'static str,
+    values: BTreeMap<&'static str, String>,
+}
+
 impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// An integer flag's value, as the type its table bounds fit.
+    fn int<T>(&self, flag: &str) -> Option<T>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Debug,
+    {
+        let parse = |v: &str| v.parse().expect("parse_args checked every integer flag");
+        self.text(flag).map(parse)
+    }
+
+    fn ints(&self, flag: &str) -> Option<Vec<usize>> {
+        let parse = |s: &str| {
+            s.trim()
+                .parse()
+                .expect("parse_args checked every integer list")
+        };
+        self.text(flag).map(|v| v.split(',').map(parse).collect())
+    }
+
     /// Sweep sides: `--sides` override or the experiment defaults.
     fn sweep_sides(&self) -> Vec<usize> {
-        self.sides
-            .clone()
+        self.ints("--sides")
             .unwrap_or_else(experiments::default_sides)
     }
 
     /// Seeds per cell: `--seeds` override or 5.
     fn sweep_seeds(&self) -> u64 {
-        self.seeds.unwrap_or(5)
+        self.int("--seeds").unwrap_or(5)
+    }
+
+    fn out(&self) -> &Path {
+        Path::new(self.text("--out").unwrap_or("results"))
     }
 
     /// The bench-matrix configuration implied by the flags. `--sides`
-    /// scopes both matrices (so `--sides 4` runs a genuinely tiny bench)
-    /// unless `--circuit-sides` picks the circuit sides explicitly;
-    /// `--seeds` likewise sets both seed counts.
+    /// scopes every grid matrix (so `--sides 4` runs a genuinely tiny
+    /// bench) unless `--circuit-sides` picks the circuit sides explicitly;
+    /// `--seeds` likewise sets every seed count.
     fn bench_config(&self) -> BenchConfig {
-        let mut config = if self.quick {
+        let mut config = if self.has("--quick") {
             BenchConfig::quick()
         } else {
             BenchConfig::full()
         };
-        if let Some(sides) = &self.sides {
+        if let Some(sides) = self.ints("--sides") {
             config.sides = sides.clone();
             config.circuit_sides = sides.clone();
-            config.defect_sides = sides.clone();
+            config.defect_sides = sides;
         }
-        if let Some(circuit_sides) = &self.circuit_sides {
-            config.circuit_sides = circuit_sides.clone();
+        if let Some(circuit_sides) = self.ints("--circuit-sides") {
+            config.circuit_sides = circuit_sides;
         }
-        if let Some(seeds) = self.seeds {
+        if let Some(seeds) = self.int("--seeds") {
             config.seeds = seeds;
             config.circuit_seeds = seeds;
             config.defect_seeds = seeds;
         }
-        if self.no_time {
+        if self.has("--no-time") {
             config.timing = false;
-        }
-        // The replay fixture needs 10 qubits: fail fast on sides < 4
-        // instead of panicking mid-measurement.
-        if let Some(&side) = config.circuit_sides.iter().find(|&&s| s * s < 10) {
-            usage_error(format!(
-                "circuit side {side} cannot hold the 10-qubit replay fixture (need side >= 4)"
-            ));
         }
         config
     }
 }
 
-fn write_file(dir: &PathBuf, name: &str, contents: &str) {
+fn parse_args() -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut command: Option<&str> = None;
+    let mut values = BTreeMap::new();
+    let mut i = 0;
+    while i < argv.len() {
+        let arg = argv[i].as_str();
+        i += 1;
+        if arg == "--help" || arg == "-h" {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        if !arg.starts_with('-') {
+            if let Some(first) = command {
+                usage_error(format!(
+                    "unexpected second command {arg:?} (already got {first:?})"
+                ));
+            }
+            command = Some(arg);
+            continue;
+        }
+        let Some(&(name, kind, _)) = FLAGS.iter().find(|(name, ..)| *name == arg) else {
+            usage_error(format!("unknown flag {arg}"));
+        };
+        let raw = if matches!(kind, Kind::Switch) {
+            ""
+        } else {
+            // A following flag token is a missing value, not a value —
+            // otherwise `--out --check` silently eats the next flag.
+            let value = argv.get(i).filter(|v| !v.starts_with('-'));
+            i += 1;
+            value.unwrap_or_else(|| usage_error(format!("{arg} requires a value")))
+        };
+        kind.check(name, raw);
+        values.insert(name, raw.to_string());
+    }
+    let command = command.unwrap_or("all");
+    let Some(&(command, _)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        usage_error(format!(
+            "unknown command {command:?}; expected {}",
+            names.join("|")
+        ));
+    };
+    for &(flag, _, commands) in FLAGS {
+        if values.contains_key(flag) && !commands.contains(&command) {
+            usage_error(match commands {
+                [only] => format!("{flag} only applies to the {only} command"),
+                [a, b] => format!("{flag} only applies to the {a} and {b} commands"),
+                _ => format!("{flag} does not apply to the {command} command"),
+            });
+        }
+    }
+    let args = Args { command, values };
+    check_combinations(&args);
+    args
+}
+
+/// The rules that involve more than one flag.
+fn check_combinations(args: &Args) {
+    for (command, flag, value) in [
+        ("serve", "--addr", "<host:port>"),
+        ("ctl", "--connect", "<host:port>"),
+        ("batch", "--input", "<jobs.jsonl>"),
+        ("topo", "--kind", "<grid|defect|heavy-hex|brick|torus>"),
+    ] {
+        if args.command == command && !args.has(flag) {
+            usage_error(format!("{command} requires {flag} {value}"));
+        }
+    }
+    let requests = ["--stats", "--metrics", "--shutdown"];
+    if args.command == "ctl" && requests.into_iter().filter(|f| args.has(f)).count() != 1 {
+        usage_error("ctl requires exactly one of --stats, --metrics, or --shutdown".to_string());
+    }
+    if args.has("--pretty") && !args.has("--stats") {
+        usage_error("--pretty only applies to ctl --stats".to_string());
+    }
+    if args.has("--routers") && args.has("--baseline") {
+        usage_error(
+            "--routers runs a partial matrix and cannot be checked against a full --baseline"
+                .to_string(),
+        );
+    }
+    if args.command == "batch" {
+        let (excluded, why) = if args.has("--connect") {
+            (
+                ["--workers", "--cache-capacity", "--time", "--trace"].as_slice(),
+                "does not apply when batch routes through --connect \
+                 (the daemon owns its engine configuration)",
+            )
+        } else {
+            (
+                ["--retries", "--retry-base-ms"].as_slice(),
+                "only applies when batch routes through --connect \
+                 (an in-process engine has no connection to retry)",
+            )
+        };
+        if let Some(flag) = excluded.iter().find(|f| args.has(f)) {
+            usage_error(format!("{flag} {why}"));
+        }
+    }
+    for (flag, needs) in [
+        ("--retry-base-ms", "--retries"),
+        ("--trace-format", "--trace"),
+        ("--check", "--baseline"),
+    ] {
+        if args.has(flag) && !args.has(needs) {
+            usage_error(format!("{flag} requires {needs}"));
+        }
+    }
+}
+
+fn write_file(dir: &Path, name: &str, contents: &str) {
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join(name);
     std::fs::write(&path, contents).expect("write output file");
@@ -787,7 +503,7 @@ fn run_fig4(args: &Args) {
     let cells = experiments::figure4(&args.sweep_sides(), args.sweep_seeds());
     println!("\n## Figure 4 — depth of computed swap networks\n");
     println!("{}", report::depth_table_markdown(&cells));
-    write_file(&args.out, "fig4_depth.csv", &report::cells_to_csv(&cells));
+    write_file(args.out(), "fig4_depth.csv", &report::cells_to_csv(&cells));
     let chart = cells_to_chart(
         &cells,
         "Figure 4: depth of computed swap networks",
@@ -795,7 +511,7 @@ fn run_fig4(args: &Args) {
         Scale::Log,
         |c| c.mean_depth.max(1e-3),
     );
-    write_file(&args.out, "fig4_depth.svg", &chart.to_svg());
+    write_file(args.out(), "fig4_depth.svg", &chart.to_svg());
 }
 
 fn run_fig5(args: &Args) {
@@ -803,7 +519,7 @@ fn run_fig5(args: &Args) {
     let cells = experiments::figure5(&args.sweep_sides(), args.sweep_seeds());
     println!("\n## Figure 5 — time spent on finding swap networks\n");
     println!("{}", report::time_table_markdown(&cells));
-    write_file(&args.out, "fig5_time.csv", &report::cells_to_csv(&cells));
+    write_file(args.out(), "fig5_time.csv", &report::cells_to_csv(&cells));
     let chart = cells_to_chart(
         &cells,
         "Figure 5: time spent on finding swap networks",
@@ -811,7 +527,7 @@ fn run_fig5(args: &Args) {
         Scale::Log,
         |c| c.mean_time_ms.max(1e-4),
     );
-    write_file(&args.out, "fig5_time.svg", &chart.to_svg());
+    write_file(args.out(), "fig5_time.svg", &chart.to_svg());
 }
 
 fn run_hybrid(args: &Args) {
@@ -820,7 +536,7 @@ fn run_hybrid(args: &Args) {
     println!("\n## Hybrid clamp (locality-aware ⊓ naive)\n");
     println!("{}", report::hybrid_markdown(&rows));
     let json = serde_json::to_string_pretty(&rows).expect("serialize hybrid rows");
-    write_file(&args.out, "hybrid.json", &json);
+    write_file(args.out(), "hybrid.json", &json);
 }
 
 fn run_skinny(args: &Args) {
@@ -830,7 +546,7 @@ fn run_skinny(args: &Args) {
     println!("{}", report::depth_table_markdown(&cells));
     println!("\n## Skinny orthogonal cycles — time\n");
     println!("{}", report::time_table_markdown(&cells));
-    write_file(&args.out, "skinny.csv", &report::cells_to_csv(&cells));
+    write_file(args.out(), "skinny.csv", &report::cells_to_csv(&cells));
 }
 
 fn run_ablations(args: &Args) {
@@ -846,7 +562,7 @@ fn run_ablations(args: &Args) {
     println!("\n## Ablations ({side}×{side})\n");
     println!("{}", report::ablation_markdown(&rows));
     let json = serde_json::to_string_pretty(&rows).expect("serialize ablation rows");
-    write_file(&args.out, "ablations.json", &json);
+    write_file(args.out(), "ablations.json", &json);
 }
 
 fn run_optgap(args: &Args) {
@@ -855,7 +571,7 @@ fn run_optgap(args: &Args) {
     println!("\n## Optimality gap on tiny grids\n");
     println!("{}", report::optgap_markdown(&rows));
     let json = serde_json::to_string_pretty(&rows).expect("serialize optgap rows");
-    write_file(&args.out, "optgap.json", &json);
+    write_file(args.out(), "optgap.json", &json);
 }
 
 fn run_transpile(args: &Args) {
@@ -864,34 +580,43 @@ fn run_transpile(args: &Args) {
     println!("\n## End-to-end transpilation\n");
     println!("{}", report::transpile_markdown(&rows));
     let json = serde_json::to_string_pretty(&rows).expect("serialize transpile rows");
-    write_file(&args.out, "transpile.json", &json);
+    write_file(args.out(), "transpile.json", &json);
 }
 
-/// Resolve `--routers` labels against the bench router axis, failing
-/// fast on a label the matrix does not know.
-fn resolve_router_labels(labels: &[String]) -> Vec<qroute_core::RouterKind> {
+/// Resolve the `--routers` labels against the bench router axis, failing
+/// fast on an empty list, a label the matrix does not know, or a label
+/// named twice (which would measure every cell twice under one key).
+fn resolve_router_labels(list: &str) -> Vec<qroute_core::RouterKind> {
     let axis = bench::bench_routers();
-    labels
-        .iter()
-        .map(|label| {
-            axis.iter()
-                .find(|r| r.label() == label)
-                .cloned()
-                .unwrap_or_else(|| {
-                    let known: Vec<&str> = axis.iter().map(|r| r.label()).collect();
-                    usage_error(format!(
-                        "--routers got unknown router {label:?} (known: {})",
-                        known.join(", ")
-                    ))
-                })
-        })
-        .collect()
+    let labels: Vec<&str> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    if labels.is_empty() {
+        usage_error("--routers wants a non-empty router list".to_string());
+    }
+    let mut routers: Vec<qroute_core::RouterKind> = Vec::new();
+    for label in labels {
+        let Some(router) = axis.iter().find(|r| r.label() == label) else {
+            let known: Vec<&str> = axis.iter().map(|r| r.label()).collect();
+            usage_error(format!(
+                "--routers got unknown router {label:?} (known: {})",
+                known.join(", ")
+            ));
+        };
+        if routers.iter().any(|r| r.label() == label) {
+            usage_error(format!("--routers names {label:?} twice"));
+        }
+        routers.push(router.clone());
+    }
+    routers
 }
 
 fn run_bench_cmd(args: &Args) {
     let config = args.bench_config();
-    if let Some(labels) = &args.routers {
-        let routers = resolve_router_labels(labels);
+    if let Some(list) = args.text("--routers") {
+        let routers = resolve_router_labels(list);
         eprintln!(
             "== Router smoke: {} routers × {} permutation classes × sides {:?}, {} seeds; \
              timing {} ==",
@@ -902,7 +627,7 @@ fn run_bench_cmd(args: &Args) {
             if config.timing { "on" } else { "off" },
         );
         let report = bench::run_router_smoke(&config, &routers);
-        write_file(&args.out, "BENCH.json", &report.to_json());
+        write_file(args.out(), "BENCH.json", &report.to_json());
         eprintln!(
             "{} permutation cells measured (schema v{}); every schedule verified",
             report.cells.len(),
@@ -910,19 +635,28 @@ fn run_bench_cmd(args: &Args) {
         );
         return;
     }
+    // The replay fixture needs 10 qubits: fail fast on circuit sides < 4
+    // instead of panicking mid-measurement.
+    if let Some(&side) = config.circuit_sides.iter().find(|&&s| s * s < 10) {
+        usage_error(format!(
+            "circuit side {side} cannot hold the 10-qubit replay fixture (need side >= 4)"
+        ));
+    }
     // Load and validate the baseline up front: a typo'd path or stale
     // schema should fail instantly, not after minutes of measurement.
-    let baseline = args.baseline.as_ref().map(|baseline_path| {
+    let baseline_path = args.text("--baseline").map(Path::new);
+    let baseline = baseline_path.map(|baseline_path| {
         let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "error: cannot read baseline {}: {e}",
+            fail(format!(
+                "cannot read baseline {}: {e}",
                 baseline_path.display()
-            );
-            std::process::exit(2);
+            ))
         });
         BenchReport::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("error: malformed baseline {}: {e}", baseline_path.display());
-            std::process::exit(2);
+            fail(format!(
+                "malformed baseline {}: {e}",
+                baseline_path.display()
+            ))
         })
     });
     eprintln!(
@@ -944,11 +678,11 @@ fn run_bench_cmd(args: &Args) {
         if config.timing { "on" } else { "off" },
     );
     let current = bench::run_bench(&config);
-    write_file(&args.out, "BENCH.json", &current.to_json());
+    write_file(args.out(), "BENCH.json", &current.to_json());
     let statevector_cells = current
         .circuit_cells
         .iter()
-        .filter(|c| c.statevector_checked)
+        .filter(|c| c.flag("statevector_checked"))
         .count();
     eprintln!(
         "{} permutation cells + {} circuit cells + {} defect cells measured (schema v{}); \
@@ -959,7 +693,7 @@ fn run_bench_cmd(args: &Args) {
         current.schema_version
     );
 
-    let (Some(baseline), Some(baseline_path)) = (baseline, &args.baseline) else {
+    let (Some(baseline), Some(baseline_path)) = (baseline, baseline_path) else {
         return;
     };
     let outcome = bench::check_against_baseline(&current, &baseline);
@@ -991,7 +725,7 @@ fn run_bench_cmd(args: &Args) {
     for key in &outcome.seed_mismatches {
         println!("- seed-count mismatch `{key}` (rerun with the baseline's --seeds)");
     }
-    if args.check {
+    if args.has("--check") {
         std::process::exit(1);
     }
 }
@@ -1012,10 +746,8 @@ enum BatchTracer {
 
 impl BatchTracer {
     fn install(path: &std::path::Path, format: Option<&str>) -> BatchTracer {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot create {}: {e}", path.display());
-            std::process::exit(2);
-        });
+        let file = std::fs::File::create(path)
+            .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", path.display())));
         let writer: Box<dyn std::io::Write + Send> = Box::new(std::io::BufWriter::new(file));
         let (tracer, sub): (
             BatchTracer,
@@ -1044,38 +776,30 @@ impl BatchTracer {
 }
 
 fn run_batch_cmd(args: &Args) {
-    let input_path = args.input.as_ref().expect("parse_args enforced --input");
-    let text = std::fs::read_to_string(input_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {}: {e}", input_path.display());
-        std::process::exit(2);
-    });
-    let mut sink: Box<dyn std::io::Write> = match &args.output {
+    let input_path = Path::new(args.text("--input").expect("parse_args enforced --input"));
+    let text = std::fs::read_to_string(input_path)
+        .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", input_path.display())));
+    let mut sink: Box<dyn std::io::Write> = match args.text("--output") {
         Some(path) => {
-            let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot create {}: {e}", path.display());
-                std::process::exit(2);
-            });
+            let file = std::fs::File::create(path)
+                .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
             Box::new(std::io::BufWriter::new(file))
         }
         None => Box::new(std::io::stdout().lock()),
     };
-    if let Some(connect) = &args.connect {
+    if let Some(connect) = args.text("--connect") {
         run_batch_via_daemon(connect, args, &text, &mut *sink);
         return;
     }
     let tracer = args
-        .trace
-        .as_ref()
-        .map(|path| BatchTracer::install(path, args.trace_format.as_deref()));
+        .text("--trace")
+        .map(|path| BatchTracer::install(Path::new(path), args.text("--trace-format")));
     let config = EngineConfig::builder()
-        .workers(args.workers.unwrap_or(4))
-        .cache_capacity(args.cache_capacity.unwrap_or(1024))
-        .timing(args.time)
+        .workers(args.int("--workers").unwrap_or(4))
+        .cache_capacity(args.int("--cache-capacity").unwrap_or(1024))
+        .timing(args.has("--time"))
         .build()
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+        .unwrap_or_else(|e| fail(e.to_string()));
     let mut engine = Engine::new(config);
     // Interleave submission and (id-ordered) collection so resident
     // results stay bounded by the window, not the stream length.
@@ -1138,9 +862,9 @@ fn run_batch_cmd(args: &Args) {
 /// `--retries`, a [`RetryingClient`] reconnects and resubmits
 /// unanswered jobs on retry-safe errors instead of failing fast.
 fn run_batch_via_daemon(addr: &str, args: &Args, text: &str, sink: &mut dyn std::io::Write) {
-    let (outcomes, resubmissions) = match args.retries {
+    let (outcomes, resubmissions) = match args.int("--retries") {
         Some(max_retries) if max_retries > 0 => {
-            let base_ms = args.retry_base_ms.unwrap_or(10);
+            let base_ms = args.int("--retry-base-ms").unwrap_or(10);
             let policy = RetryPolicy {
                 max_retries,
                 base_ms,
@@ -1148,25 +872,19 @@ fn run_batch_via_daemon(addr: &str, args: &Args, text: &str, sink: &mut dyn std:
                 // the very first attempt; grow the cap with the base.
                 max_ms: base_ms.max(RetryPolicy::default().max_ms),
             };
-            let mut client = RetryingClient::new(addr, policy).unwrap_or_else(|e| {
-                eprintln!("error: cannot set up retrying client for {addr}: {e}");
-                std::process::exit(2);
-            });
-            let outcomes = client.route_lines(text.lines()).unwrap_or_else(|e| {
-                eprintln!("error: daemon connection to {addr} failed: {e}");
-                std::process::exit(2);
-            });
+            let mut client = RetryingClient::new(addr, policy)
+                .unwrap_or_else(|e| fail(format!("cannot set up retrying client for {addr}: {e}")));
+            let outcomes = client
+                .route_lines(text.lines())
+                .unwrap_or_else(|e| fail(format!("daemon connection to {addr} failed: {e}")));
             (outcomes, client.retries())
         }
         _ => {
-            let mut client = Client::connect(addr).unwrap_or_else(|e| {
-                eprintln!("error: cannot connect to {addr}: {e}");
-                std::process::exit(2);
-            });
-            let outcomes = client.route_lines(text.lines()).unwrap_or_else(|e| {
-                eprintln!("error: daemon connection to {addr} failed: {e}");
-                std::process::exit(2);
-            });
+            let mut client = Client::connect(addr)
+                .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
+            let outcomes = client
+                .route_lines(text.lines())
+                .unwrap_or_else(|e| fail(format!("daemon connection to {addr} failed: {e}")));
             (outcomes, 0)
         }
     };
@@ -1191,52 +909,45 @@ fn run_batch_via_daemon(addr: &str, args: &Args, text: &str, sink: &mut dyn std:
 /// stops it; print the listen address up front and the drained counter
 /// summary on exit, both on stderr.
 fn run_serve_cmd(args: &Args) {
-    let addr = args.addr.as_deref().expect("parse_args enforced --addr");
+    let addr = args.text("--addr").expect("parse_args enforced --addr");
     let mut builder = EngineConfig::builder();
-    if let Some(workers) = args.workers {
+    if let Some(workers) = args.int("--workers") {
         builder = builder.workers(workers);
     }
-    if let Some(capacity) = args.cache_capacity {
+    if let Some(capacity) = args.int("--cache-capacity") {
         builder = builder.cache_capacity(capacity);
     }
-    if let Some(depth) = args.queue_depth {
+    if let Some(depth) = args.int("--queue-depth") {
         builder = builder.queue_depth(depth);
     }
-    if let Some(depth) = args.client_queue {
+    if let Some(depth) = args.int("--client-queue") {
         builder = builder.client_queue_depth(depth);
     }
-    if let Some(ms) = args.default_deadline_ms {
+    if let Some(ms) = args.int("--default-deadline-ms") {
         builder = builder.default_deadline_ms(ms);
     }
-    if let Some(n) = args.max_worker_restarts {
+    if let Some(n) = args.int("--max-worker-restarts") {
         builder = builder.max_worker_restarts(n);
     }
     let chaos = ChaosConfig {
-        worker_panic_every: args.chaos_panic_every.unwrap_or(0),
-        latency_ms: args.chaos_latency_ms.unwrap_or(0),
+        worker_panic_every: args.int("--chaos-panic-every").unwrap_or(0),
+        latency_ms: args.int("--chaos-latency-ms").unwrap_or(0),
         // --chaos-latency-ms alone means "every compute".
-        latency_every: args
-            .chaos_latency_every
-            .unwrap_or(u64::from(args.chaos_latency_ms.is_some())),
-        drop_connection_after_bytes: args.chaos_drop_after_bytes,
+        latency_every: (args.int("--chaos-latency-every"))
+            .unwrap_or(u64::from(args.has("--chaos-latency-ms"))),
+        drop_connection_after_bytes: args.int("--chaos-drop-after-bytes"),
         // --chaos-drop-after-bytes alone means "the first connection".
-        drop_connections: args
-            .chaos_drop_conns
-            .unwrap_or(u32::from(args.chaos_drop_after_bytes.is_some())),
-        torn_writes: args.chaos_torn_writes,
+        drop_connections: (args.int("--chaos-drop-conns"))
+            .unwrap_or(u32::from(args.has("--chaos-drop-after-bytes"))),
+        torn_writes: args.has("--chaos-torn-writes"),
     };
     if chaos.is_armed() {
         eprintln!("warning: chaos armed — this daemon will inject faults on purpose");
         builder = builder.chaos(chaos);
     }
-    let config = builder.build().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let daemon = Daemon::bind(addr, config).unwrap_or_else(|e| {
-        eprintln!("error: cannot bind {addr}: {e}");
-        std::process::exit(2);
-    });
+    let config = builder.build().unwrap_or_else(|e| fail(e.to_string()));
+    let daemon =
+        Daemon::bind(addr, config).unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
     eprintln!("listening on {}", daemon.local_addr());
     let stats = daemon.join();
     eprintln!(
@@ -1259,56 +970,38 @@ fn run_serve_cmd(args: &Args) {
 /// line on stdout. Exit 2 when the daemon is unreachable.
 fn run_ctl_cmd(args: &Args) {
     let addr = args
-        .connect
-        .as_deref()
+        .text("--connect")
         .expect("parse_args enforced --connect");
-    let mut client = Client::connect(addr).unwrap_or_else(|e| {
-        eprintln!("error: cannot connect to {addr}: {e}");
-        std::process::exit(2);
-    });
-    let response = if args.stats {
+    let mut client =
+        Client::connect(addr).unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
+    let response = if args.has("--stats") {
         client.stats()
-    } else if args.metrics {
+    } else if args.has("--metrics") {
         client.metrics()
     } else {
         assert!(
-            args.shutdown,
+            args.has("--shutdown"),
             "parse_args enforced exactly one ctl request flag"
         );
         client.shutdown_server()
     };
-    let line = match response {
-        Ok(line) => line,
-        Err(e) => {
-            eprintln!("error: daemon connection to {addr} failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.metrics {
+    let line =
+        response.unwrap_or_else(|e| fail(format!("daemon connection to {addr} failed: {e}")));
+    if args.has("--metrics") {
         // The wire carries the Prometheus text as one JSON-escaped
         // string ({"metrics": "..."}); unwrap it back to raw exposition.
-        let value: serde_json::Value = serde_json::from_str(&line).unwrap_or_else(|e| {
-            eprintln!("error: malformed metrics response {line:?}: {e}");
-            std::process::exit(2);
-        });
+        let value: serde_json::Value = serde_json::from_str(&line)
+            .unwrap_or_else(|e| fail(format!("malformed metrics response {line:?}: {e}")));
         match value.get("metrics").and_then(serde_json::Value::as_str) {
             Some(text) => print!("{text}"),
-            None => {
-                eprintln!("error: daemon answered without a metrics payload: {line}");
-                std::process::exit(2);
-            }
+            None => fail(format!("daemon answered without a metrics payload: {line}")),
         }
-    } else if args.pretty {
-        let value: serde_json::Value = serde_json::from_str(&line).unwrap_or_else(|e| {
-            eprintln!("error: malformed stats response {line:?}: {e}");
-            std::process::exit(2);
-        });
+    } else if args.has("--pretty") {
+        let value: serde_json::Value = serde_json::from_str(&line)
+            .unwrap_or_else(|e| fail(format!("malformed stats response {line:?}: {e}")));
         match value.get("stats") {
             Some(stats) => print!("{}", render_stats_table(stats)),
-            None => {
-                eprintln!("error: daemon answered without a stats payload: {line}");
-                std::process::exit(2);
-            }
+            None => fail(format!("daemon answered without a stats payload: {line}")),
         }
     } else {
         println!("{line}");
@@ -1320,10 +1013,10 @@ fn run_ctl_cmd(args: &Args) {
 /// the topology constructors reject (out-of-range defects, too-small
 /// torus factors, ...).
 fn run_topo_cmd(args: &Args) {
-    let kind = args.kind.as_deref().expect("parse_args enforced --kind");
-    let rows = args.rows.unwrap_or(4);
-    let cols = args.cols.unwrap_or(4);
-    let defects = args.defects.clone().unwrap_or_default();
+    let kind = args.text("--kind").expect("parse_args enforced --kind");
+    let rows = args.int("--rows").unwrap_or(4);
+    let cols = args.int("--cols").unwrap_or(4);
+    let defects = args.ints("--defects").unwrap_or_default();
     if !defects.is_empty() && kind != "defect" {
         usage_error(format!(
             "--defects only applies to --kind defect, not {kind:?}"
@@ -1342,7 +1035,7 @@ fn run_topo_cmd(args: &Args) {
         )),
     };
     let graph = topology.graph();
-    if args.dot {
+    if args.has("--dot") {
         // DOT identifiers cannot contain '-'.
         print!("{}", gridlike::to_dot(&graph, &kind.replace('-', "_")));
     } else {
@@ -1357,32 +1050,41 @@ fn run_topo_cmd(args: &Args) {
     }
 }
 
+fn run_all(args: &Args) {
+    run_fig4(args);
+    run_fig5(args);
+    run_hybrid(args);
+    run_skinny(args);
+    run_ablations(args);
+    run_optgap(args);
+    run_transpile(args);
+}
+
 fn main() {
     let args = parse_args();
-    match args.command.as_str() {
-        "fig4" => run_fig4(&args),
-        "fig5" => run_fig5(&args),
-        "hybrid" => run_hybrid(&args),
-        "skinny" => run_skinny(&args),
-        "ablations" => run_ablations(&args),
-        "optgap" => run_optgap(&args),
-        "transpile" => run_transpile(&args),
-        "bench" => run_bench_cmd(&args),
-        "batch" => run_batch_cmd(&args),
-        "serve" => run_serve_cmd(&args),
-        "ctl" => run_ctl_cmd(&args),
-        "topo" => run_topo_cmd(&args),
-        "all" => {
-            run_fig4(&args);
-            run_fig5(&args);
-            run_hybrid(&args);
-            run_skinny(&args);
-            run_ablations(&args);
-            run_optgap(&args);
-            run_transpile(&args);
-        }
-        other => usage_error(format!(
-            "unknown command {other:?}; expected fig4|fig5|hybrid|skinny|ablations|optgap|transpile|bench|batch|serve|ctl|topo|all"
-        )),
+    let (_, run) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == args.command)
+        .expect("parse_args accepts only listed commands");
+    run(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_documents_exactly_the_flags_of_the_table() {
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut table: Vec<&str> = FLAGS.iter().map(|(name, ..)| *name).collect();
+        table.sort_unstable();
+        // `--help` is the one flag outside the table: it prints USAGE.
+        assert_eq!(documented, table);
+        assert_eq!(table.len(), 39);
     }
 }

@@ -54,13 +54,13 @@ pub fn measure_cell(side: usize, class: WorkloadClass, router: &RouterKind, seed
     let cell = crate::bench::measure_bench_cell(side, class, router, seeds, true);
     Cell {
         n: side,
-        qubits: cell.qubits,
-        class: cell.class,
-        router: cell.router,
-        mean_depth: cell.depth.mean,
-        mean_size: cell.size.mean,
-        mean_time_ms: cell.time_ms.mean,
-        mean_lower_bound: cell.lower_bound.mean,
+        qubits: side * side,
+        class: cell.str("class").to_string(),
+        router: cell.str("router").to_string(),
+        mean_depth: cell.summary("depth").mean,
+        mean_size: cell.summary("size").mean,
+        mean_time_ms: cell.summary("time_ms").mean,
+        mean_lower_bound: cell.summary("lower_bound").mean,
         seeds: seeds as usize,
     }
 }

@@ -17,9 +17,9 @@
 //!   ablations, and the end-to-end transpile experiment;
 //! * [`report`] — CSV and markdown rendering of experiment tables;
 //! * [`bench`](mod@bench) — the machine-readable benchmark subsystem: the versioned
-//!   `BENCH.json` schema ([`bench::BenchReport`]), the permutation and
-//!   circuit matrix runners, and baseline regression checking for the CI
-//!   gate.
+//!   `BENCH.json` schema ([`bench::BenchReport`]: five cell matrices of
+//!   one cell type, each described by a static [`bench::Matrix`]), the
+//!   matrix runners, and baseline regression checking for the CI gate.
 //!
 //! The `repro` binary drives everything:
 //!

@@ -74,7 +74,7 @@ fn bench_check_gates_an_injected_depth_regression() {
     .expect("parse baseline");
     let mut tampered = report.clone();
     for cell in &mut tampered.cells {
-        cell.depth.mean /= 2.0;
+        cell.summary_mut("depth").mean /= 2.0;
     }
     std::fs::write(dir.join("tampered.json"), tampered.to_json()).expect("write tampered");
     let fail = repro(
@@ -149,6 +149,10 @@ fn arg_parsing_rejects_misuse_with_exit_2() {
         vec!["batch", "--input", "j.jsonl", "--out", "results"],
         vec!["batch"], // --input is required
         vec!["batch", "--input", "j.jsonl", "--workers", "0"],
+        // zero sweep values, and sweep flags on topo
+        vec!["fig4", "--sides", "0"],
+        vec!["bench", "--sides", "4", "--seeds", "0", "--no-time"],
+        vec!["topo", "--kind", "grid", "--sides", "4"],
     ] {
         let out = repro(&bad, &dir);
         assert_eq!(out.status.code(), Some(2), "{bad:?} should exit 2");
@@ -158,6 +162,42 @@ fn arg_parsing_rejects_misuse_with_exit_2() {
             "{bad:?} should print usage:\n{stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn router_smoke_rejects_a_repeated_router() {
+    let dir = tmp_dir("repeated_router");
+    let out = repro(
+        &["bench", "--quick", "--sides", "4", "--routers", "ats,ats"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"ats\" twice"), "{stderr}");
+    assert!(!dir.join("results").exists(), "nothing may be measured");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn router_smoke_runs_no_circuit_cells_so_skips_their_side_check() {
+    // Side 2 cannot hold the circuit matrix's 10-qubit replay fixture,
+    // but the smoke mode measures permutation cells only.
+    let dir = tmp_dir("smoke_side2");
+    let out = repro(
+        &["bench", "--quick", "--sides", "2", "--routers", "ats"],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = qroute_bench::bench::BenchReport::from_json(
+        &std::fs::read_to_string(dir.join("results/BENCH.json")).expect("read report"),
+    )
+    .expect("parse report");
+    assert_eq!(report.cells.len(), 5, "one cell per permutation class");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -79,18 +79,6 @@ impl Product {
         }
         Graph::from_edges(self.len(), edges).expect("product edges are always valid")
     }
-
-    /// Vertex ids of the copy of `G1` at second-coordinate `v`
-    /// (a "column" in grid terminology), ordered by first coordinate.
-    pub fn g1_copy(&self, v: usize) -> Vec<usize> {
-        (0..self.g1.len()).map(|u| self.index(u, v)).collect()
-    }
-
-    /// Vertex ids of the copy of `G2` at first-coordinate `u` (a "row"),
-    /// ordered by second coordinate.
-    pub fn g2_copy(&self, u: usize) -> Vec<usize> {
-        (0..self.g2.len()).map(|v| self.index(u, v)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +116,6 @@ mod tests {
         assert_eq!(g.degree(c.index(0, 0)), 3);
         assert_eq!(g.degree(c.index(1, 0)), 4);
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn copies_are_lines() {
-        let p = Product::new(Path::new(3).to_graph(), Path::new(4).to_graph());
-        assert_eq!(p.g1_copy(1), vec![1, 5, 9]);
-        assert_eq!(p.g2_copy(2), vec![8, 9, 10, 11]);
     }
 
     #[test]
