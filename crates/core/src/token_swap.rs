@@ -31,6 +31,29 @@
 //! prefix; both changes are behavior-preserving (pinned by tests against
 //! a verbatim copy of the table-based implementation) and are what let
 //! the benchmark matrix route side-64 grids.
+//!
+//! The parallel form ([`parallel_token_swapping_with`]) costs what
+//! changes from round to round, not `O(n + m)` per round, by two
+//! invariants:
+//!
+//! * **Happy status is local to an edge's endpoints.** Whether swapping
+//!   across `(u, v)` moves both tokens closer depends only on `dest[u]`
+//!   and `dest[v]`. So the set of happy edges is kept by canonical edge
+//!   id and, after each batch of swaps, recomputed only on the edges at
+//!   swapped endpoints; walking it in id order picks the same greedy
+//!   layer as a scan of every edge.
+//! * **A failed walk stays failed within its phase.** In a stuck phase
+//!   `dest` is fixed and claims only grow. A walk's next hop from `v` is
+//!   the first unclaimed neighbour strictly closer to `dest[v]`, so two
+//!   walks that share a vertex share the rest of the walk. A chain claims
+//!   only vertices of the walk that found it (its cycle, or the unhappy
+//!   pair whose far end is home), so no successful walk ever touches a
+//!   failed walk's vertices, and every later walk that reaches one is
+//!   boxed in the same way. Such vertices are stamped dead for the rest of
+//!   the phase, and failed walks cost `O(n)` per phase in total.
+//!
+//! Both are exact: a test pins the schedules against a verbatim copy of
+//! the full-scan implementation on every oracle.
 
 use crate::schedule::{RoutingSchedule, SwapLayer};
 use qroute_perm::Permutation;
@@ -278,14 +301,21 @@ pub fn parallel_token_swapping_with(
     let phi0: usize = (0..n).map(|v| oracle.dist(v, dest[v]) as usize).sum();
     let budget_layers = 4 * phi0 + 8 * n + 64;
 
+    let mut state = AtsState::new(graph, oracle, &dest);
     let mut used = vec![u64::MAX; n];
     let mut round: u64 = 0;
     let mut visited_epoch = vec![0u64; n];
     let mut path_pos = vec![0usize; n];
     let mut epoch = 0u64;
     let mut path: Vec<usize> = Vec::with_capacity(n);
+    // Per-phase vertex marks, stamped with the round (never 0) so a new
+    // phase starts with both sets empty at no cost.
+    let mut claimed = vec![0u64; n];
+    let mut dead = vec![0u64; n];
+    let mut chain_swaps: Vec<(usize, usize)> = Vec::new();
+    let mut chains: Vec<std::ops::Range<usize>> = Vec::new();
 
-    while let Some(start) = (0..n).find(|&v| dest[v] != v) {
+    while state.num_unfinished > 0 {
         // One cooperative cancellation probe per parallel round.
         crate::budget::checkpoint();
         if schedule.depth() > budget_layers {
@@ -307,22 +337,18 @@ pub fn parallel_token_swapping_with(
             break;
         }
         round += 1;
-        // Happy layer: maximal disjoint set in canonical edge order.
+        // Happy layer: maximal disjoint set in canonical edge order. Only
+        // happy edges can join it, so walking the happy set in ascending
+        // id order picks exactly what a scan of every edge would.
         let mut layer = SwapLayer::default();
-        for &(u, v) in graph.edges() {
+        for e in state.happy.iter() {
+            let (u, v) = graph.edges()[e];
             if used[u] == round || used[v] == round {
                 continue;
             }
-            let (du, dv) = (dest[u], dest[v]);
-            if du != u
-                && dv != v
-                && oracle.dist(v, du) < oracle.dist(u, du)
-                && oracle.dist(u, dv) < oracle.dist(v, dv)
-            {
-                layer.swaps.push((u, v));
-                used[u] = round;
-                used[v] = round;
-            }
+            layer.swaps.push((u, v));
+            used[u] = round;
+            used[v] = round;
         }
         if !layer.is_empty() {
             qroute_obs::trace::event(
@@ -339,19 +365,24 @@ pub fn parallel_token_swapping_with(
             for &(u, v) in &layer.swaps {
                 dest.swap(u, v);
             }
+            state.refresh(graph, oracle, &dest, layer.swaps.iter().copied());
             schedule.push_layer(layer);
             continue;
         }
 
         // Stuck: no happy swap anywhere. Run Miltzow walks from *every*
-        // unfinished token over vertices not yet claimed in this phase;
-        // each walk yields a swap chain (cycle shift or unhappy step).
-        // Chains are vertex-disjoint, so chain i's j-th swap shares a
-        // layer with chain k's j-th swap — regions unstick in parallel.
-        let mut claimed = vec![false; n];
-        let mut chains: Vec<Vec<(usize, usize)>> = Vec::new();
-        for s in start..n {
-            if dest[s] == s || claimed[s] {
+        // unfinished token, in ascending order, over vertices not yet
+        // claimed in this phase; each walk yields a swap chain (cycle
+        // shift or unhappy step) or gets boxed in by claims. Chains are
+        // vertex-disjoint, so chain i's j-th swap shares a layer with
+        // chain k's j-th swap — regions unstick in parallel. A boxed-in
+        // walk marks its whole path dead: any later walk that steps onto
+        // it would follow the same path into the same box (see the module
+        // docs), so it stops there instead.
+        chain_swaps.clear();
+        chains.clear();
+        for s in state.unfinished.iter() {
+            if claimed[s] == round || dead[s] == round {
                 continue;
             }
             epoch += 1;
@@ -360,43 +391,47 @@ pub fn parallel_token_swapping_with(
             path_pos[s] = 0;
             path.push(s);
             let mut cur = s;
-            let chain: Option<Vec<(usize, usize)>> = loop {
+            let found = loop {
                 let target = dest[cur];
                 let dcur = oracle.dist(cur, target);
                 let next = graph
                     .neighbors(cur)
-                    .find(|&w| !claimed[w] && oracle.dist(w, target) < dcur);
-                let Some(next) = next else { break None }; // boxed in by claims
+                    .find(|&w| claimed[w] != round && oracle.dist(w, target) < dcur);
+                let Some(next) = next else { break false }; // boxed in by claims
                 if dest[next] == next {
-                    break Some(vec![(cur, next)]); // unhappy swap
+                    chain_swaps.push((cur, next)); // unhappy swap
+                    break true;
                 }
                 if visited_epoch[next] == epoch {
-                    let pos = path_pos[next];
-                    let cycle = &path[pos..];
-                    break Some(
-                        (1..cycle.len())
-                            .rev()
-                            .map(|k| (cycle[k - 1], cycle[k]))
-                            .collect(),
-                    );
+                    let cycle = &path[path_pos[next]..];
+                    chain_swaps.extend((1..cycle.len()).rev().map(|k| (cycle[k - 1], cycle[k])));
+                    break true;
+                }
+                if dead[next] == round {
+                    break false; // joins a walk already boxed in
                 }
                 visited_epoch[next] = epoch;
                 path_pos[next] = path.len();
                 path.push(next);
                 cur = next;
             };
-            if let Some(swaps) = chain {
-                for &(a, b) in &swaps {
-                    claimed[a] = true;
-                    claimed[b] = true;
+            if found {
+                let begin = chains.last().map_or(0, |c| c.end);
+                for &(a, b) in &chain_swaps[begin..] {
+                    claimed[a] = round;
+                    claimed[b] = round;
                 }
-                chains.push(swaps);
+                chains.push(begin..chain_swaps.len());
+            } else {
+                for &v in &path {
+                    dead[v] = round;
+                }
             }
         }
         // The first walk runs over a claim-free graph and always finds a
         // cycle or a home token, so every stuck phase makes progress.
         debug_assert!(!chains.is_empty());
-        let maxlen = chains.iter().map(Vec::len).max().unwrap_or(0);
+        let maxlen = chains.iter().map(|c| c.len()).max().unwrap_or(0);
         qroute_obs::trace::event(
             "ats.round",
             &[
@@ -406,21 +441,145 @@ pub fn parallel_token_swapping_with(
                 ("max_chain", qroute_obs::FieldValue::U64(maxlen as u64)),
             ],
         );
-        for j in 0..maxlen {
+        // Layer j holds every chain's j-th swap, in chain order; `chains`
+        // keeps each chain's not-yet-layered rest.
+        while !chains.is_empty() {
             let mut layer = SwapLayer::default();
-            for ch in &chains {
-                if let Some(&s) = ch.get(j) {
-                    layer.swaps.push(s);
-                }
-            }
-            for &(a, b) in &layer.swaps {
+            for c in &mut chains {
+                let (a, b) = chain_swaps[c.start];
+                layer.swaps.push((a, b));
                 dest.swap(a, b);
+                c.start += 1;
             }
+            chains.retain(|c| !c.is_empty());
             schedule.push_layer(layer);
         }
+        state.refresh(graph, oracle, &dest, chain_swaps.iter().copied());
     }
 
     schedule.compact(n)
+}
+
+/// Whether swapping across edge `(u, v)` moves both tokens strictly
+/// closer to their destinations — a function of `dest[u]` and `dest[v]`
+/// only.
+fn is_happy(oracle: &impl DistanceOracle, dest: &[usize], u: usize, v: usize) -> bool {
+    let (du, dv) = (dest[u], dest[v]);
+    du != u
+        && dv != v
+        && oracle.dist(v, du) < oracle.dist(u, du)
+        && oracle.dist(u, dv) < oracle.dist(v, dv)
+}
+
+/// The round-to-round view of parallel ATS, kept incrementally: the happy
+/// edges (by canonical edge id) and the unfinished vertices. Both depend
+/// only on `dest` at the vertices involved, so after a batch of swaps only
+/// the swapped endpoints and their incident edges are recomputed.
+struct AtsState {
+    happy: IdSet,
+    unfinished: IdSet,
+    num_unfinished: usize,
+    /// `incident[incident_at[v]..incident_at[v + 1]]` are the ids of the
+    /// edges at `v`.
+    incident_at: Vec<u32>,
+    incident: Vec<u32>,
+}
+
+impl AtsState {
+    fn new(graph: &Graph, oracle: &impl DistanceOracle, dest: &[usize]) -> AtsState {
+        let n = graph.len();
+        let edges = graph.edges();
+        let mut incident_at = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            incident_at[u + 1] += 1;
+            incident_at[v + 1] += 1;
+        }
+        for v in 0..n {
+            incident_at[v + 1] += incident_at[v];
+        }
+        let mut cursor = incident_at.clone();
+        let mut incident = vec![0u32; 2 * edges.len()];
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            for w in [u, v] {
+                incident[cursor[w] as usize] = e as u32;
+                cursor[w] += 1;
+            }
+        }
+        let mut happy = IdSet::new(edges.len());
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            happy.set(e, is_happy(oracle, dest, u, v));
+        }
+        let mut unfinished = IdSet::new(n);
+        let mut num_unfinished = 0;
+        for (v, &d) in dest.iter().enumerate() {
+            if d != v {
+                unfinished.set(v, true);
+                num_unfinished += 1;
+            }
+        }
+        AtsState { happy, unfinished, num_unfinished, incident_at, incident }
+    }
+
+    /// Recompute everything that depends on the endpoints of `swaps`,
+    /// which have all been applied to `dest`.
+    fn refresh(
+        &mut self,
+        graph: &Graph,
+        oracle: &impl DistanceOracle,
+        dest: &[usize],
+        swaps: impl Iterator<Item = (usize, usize)>,
+    ) {
+        for (a, b) in swaps {
+            for w in [a, b] {
+                let (was, now) = (self.unfinished.contains(w), dest[w] != w);
+                self.unfinished.set(w, now);
+                self.num_unfinished = self.num_unfinished + usize::from(now) - usize::from(was);
+                let lo = self.incident_at[w] as usize;
+                let hi = self.incident_at[w + 1] as usize;
+                for &e in &self.incident[lo..hi] {
+                    let (u, v) = graph.edges()[e as usize];
+                    self.happy.set(e as usize, is_happy(oracle, dest, u, v));
+                }
+            }
+        }
+    }
+}
+
+/// A fixed-universe set of ids, iterated in ascending order.
+struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    fn new(len: usize) -> IdSet {
+        IdSet { words: vec![0; len.div_ceil(64)] }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        if on {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    64 * k + bit
+                })
+            })
+        })
+    }
 }
 
 /// ATS on a grid, in the parallel, depth-measured form the paper's
@@ -536,7 +695,7 @@ pub fn serial_schedule(swaps: &[(usize, usize)]) -> RoutingSchedule {
 mod tests {
     use super::*;
     use qroute_perm::{generators, metrics};
-    use qroute_topology::{gridlike, ApspOracle, Cycle, CycleOracle, Path};
+    use qroute_topology::{gridlike, ApspOracle, Cycle, CycleOracle, Path, Product, ProductOracle};
 
     /// The pre-overhaul serial ATS, verbatim: full APSP table, generic
     /// neighbor scan, and a fresh walk from `todo[0]` after every swap
@@ -619,6 +778,177 @@ mod tests {
         swaps
     }
 
+    /// Parallel ATS as it was before the incremental happy-edge set and
+    /// the dead-walk memo, verbatim: a full edge scan and a `(0..n).find`
+    /// per round, and a fresh `claimed` vector plus a walk from every
+    /// unfinished vertex per stuck phase. The optimized implementation
+    /// must reproduce its schedule exactly.
+    fn reference_parallel_ats(
+        graph: &Graph,
+        oracle: &impl DistanceOracle,
+        pi: &Permutation,
+    ) -> RoutingSchedule {
+        let n = graph.len();
+        assert_eq!(pi.len(), n, "permutation size must match graph");
+        assert_eq!(oracle.len(), n, "oracle size must match graph");
+        for v in 0..n {
+            assert_ne!(
+                oracle.dist(v, pi.apply(v)),
+                dist::UNREACHABLE,
+                "destination of {v} unreachable; ATS needs a connected graph"
+            );
+        }
+
+        let mut dest: Vec<usize> = (0..n).map(|v| pi.apply(v)).collect();
+        let mut schedule = RoutingSchedule::empty();
+        let phi0: usize = (0..n).map(|v| oracle.dist(v, dest[v]) as usize).sum();
+        let budget_layers = 4 * phi0 + 8 * n + 64;
+
+        let mut used = vec![u64::MAX; n];
+        let mut round: u64 = 0;
+        let mut visited_epoch = vec![0u64; n];
+        let mut path_pos = vec![0usize; n];
+        let mut epoch = 0u64;
+        let mut path: Vec<usize> = Vec::with_capacity(n);
+
+        while let Some(start) = (0..n).find(|&v| dest[v] != v) {
+            // One cooperative cancellation probe per parallel round.
+            crate::budget::checkpoint();
+            if schedule.depth() > budget_layers {
+                qroute_obs::trace::event(
+                    "ats.fallback",
+                    &[
+                        ("round", qroute_obs::FieldValue::U64(round)),
+                        (
+                            "depth",
+                            qroute_obs::FieldValue::U64(schedule.depth() as u64),
+                        ),
+                    ],
+                );
+                let rest = Permutation::from_vec_unchecked(dest.clone());
+                for (u, v) in tree_route(graph, &rest) {
+                    schedule.push_layer(SwapLayer::new(vec![(u, v)]));
+                    dest.swap(u, v);
+                }
+                break;
+            }
+            round += 1;
+            // Happy layer: maximal disjoint set in canonical edge order.
+            let mut layer = SwapLayer::default();
+            for &(u, v) in graph.edges() {
+                if used[u] == round || used[v] == round {
+                    continue;
+                }
+                let (du, dv) = (dest[u], dest[v]);
+                if du != u
+                    && dv != v
+                    && oracle.dist(v, du) < oracle.dist(u, du)
+                    && oracle.dist(u, dv) < oracle.dist(v, dv)
+                {
+                    layer.swaps.push((u, v));
+                    used[u] = round;
+                    used[v] = round;
+                }
+            }
+            if !layer.is_empty() {
+                qroute_obs::trace::event(
+                    "ats.round",
+                    &[
+                        ("round", qroute_obs::FieldValue::U64(round)),
+                        ("kind", qroute_obs::FieldValue::Str("happy")),
+                        (
+                            "swaps",
+                            qroute_obs::FieldValue::U64(layer.swaps.len() as u64),
+                        ),
+                    ],
+                );
+                for &(u, v) in &layer.swaps {
+                    dest.swap(u, v);
+                }
+                schedule.push_layer(layer);
+                continue;
+            }
+
+            // Stuck: no happy swap anywhere. Run Miltzow walks from *every*
+            // unfinished token over vertices not yet claimed in this phase;
+            // each walk yields a swap chain (cycle shift or unhappy step).
+            // Chains are vertex-disjoint, so chain i's j-th swap shares a
+            // layer with chain k's j-th swap — regions unstick in parallel.
+            let mut claimed = vec![false; n];
+            let mut chains: Vec<Vec<(usize, usize)>> = Vec::new();
+            for s in start..n {
+                if dest[s] == s || claimed[s] {
+                    continue;
+                }
+                epoch += 1;
+                path.clear();
+                visited_epoch[s] = epoch;
+                path_pos[s] = 0;
+                path.push(s);
+                let mut cur = s;
+                let chain: Option<Vec<(usize, usize)>> = loop {
+                    let target = dest[cur];
+                    let dcur = oracle.dist(cur, target);
+                    let next = graph
+                        .neighbors(cur)
+                        .find(|&w| !claimed[w] && oracle.dist(w, target) < dcur);
+                    let Some(next) = next else { break None }; // boxed in by claims
+                    if dest[next] == next {
+                        break Some(vec![(cur, next)]); // unhappy swap
+                    }
+                    if visited_epoch[next] == epoch {
+                        let pos = path_pos[next];
+                        let cycle = &path[pos..];
+                        break Some(
+                            (1..cycle.len())
+                                .rev()
+                                .map(|k| (cycle[k - 1], cycle[k]))
+                                .collect(),
+                        );
+                    }
+                    visited_epoch[next] = epoch;
+                    path_pos[next] = path.len();
+                    path.push(next);
+                    cur = next;
+                };
+                if let Some(swaps) = chain {
+                    for &(a, b) in &swaps {
+                        claimed[a] = true;
+                        claimed[b] = true;
+                    }
+                    chains.push(swaps);
+                }
+            }
+            // The first walk runs over a claim-free graph and always finds a
+            // cycle or a home token, so every stuck phase makes progress.
+            debug_assert!(!chains.is_empty());
+            let maxlen = chains.iter().map(Vec::len).max().unwrap_or(0);
+            qroute_obs::trace::event(
+                "ats.round",
+                &[
+                    ("round", qroute_obs::FieldValue::U64(round)),
+                    ("kind", qroute_obs::FieldValue::Str("stuck")),
+                    ("chains", qroute_obs::FieldValue::U64(chains.len() as u64)),
+                    ("max_chain", qroute_obs::FieldValue::U64(maxlen as u64)),
+                ],
+            );
+            for j in 0..maxlen {
+                let mut layer = SwapLayer::default();
+                for ch in &chains {
+                    if let Some(&s) = ch.get(j) {
+                        layer.swaps.push(s);
+                    }
+                }
+                for &(a, b) in &layer.swaps {
+                    dest.swap(a, b);
+                }
+                schedule.push_layer(layer);
+            }
+        }
+
+        schedule.compact(n)
+    }
+
     #[test]
     fn optimized_serial_walk_matches_reference() {
         // Grids (closed-form fast path + resumption) against the verbatim
@@ -676,6 +1006,128 @@ mod tests {
                 assert_eq!(fast, apsp, "{m}x{n} seed {seed}");
             }
         }
+    }
+
+    /// The differential classes: dense, sparse at 25% and 10% support,
+    /// and reversal on any vertex set; block-local (2/3/4) and
+    /// overlapping blocks where the vertex ids form a `grid`.
+    fn differential_cases(n: usize, grid: Option<Grid>, seed: u64) -> Vec<(String, Permutation)> {
+        let mut cases = vec![
+            ("random".to_string(), generators::random(n, seed)),
+            (
+                "sparse25".to_string(),
+                generators::sparse_random(n, n / 4, seed),
+            ),
+            (
+                "sparse10".to_string(),
+                generators::sparse_random(n, n / 10, seed),
+            ),
+            ("reversal".to_string(), generators::reversal(n)),
+        ];
+        if let Some(grid) = grid {
+            for b in [2, 3, 4] {
+                cases.push((
+                    format!("block{b}"),
+                    generators::block_local(grid, b, b, seed),
+                ));
+            }
+            let overlap = generators::overlapping_blocks(grid, 4, 4, 2, 2, seed);
+            cases.push(("overlap4s2".to_string(), overlap));
+        }
+        cases
+    }
+
+    #[test]
+    fn parallel_ats_matches_reference() {
+        let mut compared = 0;
+        let shapes = [
+            (1, 9),
+            (2, 2),
+            (2, 6),
+            (3, 3),
+            (3, 7),
+            (7, 3),
+            (4, 4),
+            (5, 5),
+            (4, 9),
+            (6, 9),
+            (8, 8),
+            (11, 5),
+            (12, 12),
+            (16, 16),
+            (20, 13),
+        ];
+        for (m, n) in shapes {
+            let grid = Grid::new(m, n);
+            let g = grid.to_graph();
+            let apsp = ApspOracle::new(&g);
+            for seed in 0..3 {
+                for (class, pi) in differential_cases(grid.len(), Some(grid), seed) {
+                    let reference = reference_parallel_ats(&g, &GridOracle::new(grid), &pi);
+                    let at = format!("{m}x{n} {class} seed {seed}");
+                    let grid_oracle = parallel_token_swapping_with(&g, &GridOracle::new(grid), &pi);
+                    assert_eq!(grid_oracle, reference, "{at} grid oracle");
+                    assert_eq!(parallel_token_swapping(&g, &pi), reference, "{at} lazy");
+                    assert_eq!(
+                        parallel_token_swapping_with(&g, &apsp, &pi),
+                        reference,
+                        "{at} apsp"
+                    );
+                    compared += 3;
+                }
+            }
+        }
+        let defect = |side: usize, dead: &[usize]| {
+            gridlike::grid_with_defects(Grid::new(side, side), dead).0
+        };
+        let others = [
+            (
+                "brick 7x9",
+                gridlike::brick_wall(7, 9),
+                Some(Grid::new(7, 9)),
+            ),
+            (
+                "brick 12x10",
+                gridlike::brick_wall(12, 10),
+                Some(Grid::new(12, 10)),
+            ),
+            ("heavy-hex 3x9", gridlike::heavy_hex(3, 9), None),
+            ("heavy-hex 5x13", gridlike::heavy_hex(5, 13), None),
+            ("defect 9", defect(9, &[10, 30, 41, 52, 70]), None),
+            (
+                "defect 14",
+                defect(14, &[15, 33, 60, 97, 98, 150, 181]),
+                None,
+            ),
+        ];
+        for (name, g, grid) in &others {
+            assert!(g.is_connected(), "{name}");
+            for seed in 0..3 {
+                for (class, pi) in differential_cases(g.len(), *grid, seed) {
+                    let reference = reference_parallel_ats(g, &LazyBfsOracle::new(g), &pi);
+                    let got = parallel_token_swapping(g, &pi);
+                    assert_eq!(got, reference, "{name} {class} seed {seed}");
+                    compared += 1;
+                }
+            }
+        }
+        for (rows, cols) in [(6, 7), (9, 5)] {
+            let g =
+                Product::new(Cycle::new(rows).to_graph(), Cycle::new(cols).to_graph()).to_graph();
+            let oracle = ProductOracle::new(
+                CycleOracle::new(Cycle::new(rows)),
+                CycleOracle::new(Cycle::new(cols)),
+            );
+            for seed in 0..3 {
+                for (class, pi) in differential_cases(g.len(), Some(Grid::new(rows, cols)), seed) {
+                    let reference = reference_parallel_ats(&g, &oracle, &pi);
+                    let got = parallel_token_swapping_with(&g, &oracle, &pi);
+                    assert_eq!(got, reference, "torus {rows}x{cols} {class} seed {seed}");
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 1224);
     }
 
     fn check_ats(graph: &Graph, pi: &Permutation) -> AtsOutcome {

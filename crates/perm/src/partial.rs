@@ -16,6 +16,8 @@ use qroute_topology::Grid;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialPermutation {
     dest: Vec<Option<usize>>,
+    /// The inverse of `dest`: `src_of[w] = Some(v)` iff `dest[v] = Some(w)`.
+    src_of: Vec<Option<usize>>,
 }
 
 /// Strategy used to place don't-care tokens when completing a partial
@@ -36,7 +38,7 @@ pub enum Completion {
 impl PartialPermutation {
     /// An all-don't-care partial permutation on `n` points.
     pub fn new(n: usize) -> PartialPermutation {
-        PartialPermutation { dest: vec![None; n] }
+        PartialPermutation { dest: vec![None; n], src_of: vec![None; n] }
     }
 
     /// Build from explicit pinned pairs `(src, dst)`.
@@ -65,22 +67,22 @@ impl PartialPermutation {
 
     /// Pin the token at `src` to destination `dst`.
     ///
-    /// Fails if out of range or if `dst` is already claimed; re-pinning the
-    /// same `src` overwrites its previous destination.
+    /// Fails if out of range or if `dst` is already claimed by another
+    /// source; re-pinning the same `src` overwrites its previous
+    /// destination and frees it. `O(1)`.
     pub fn pin(&mut self, src: usize, dst: usize) -> Result<(), PermError> {
         let n = self.dest.len();
         if src >= n || dst >= n {
             return Err(PermError::ImageOutOfRange { src, img: dst, n });
         }
-        if self
-            .dest
-            .iter()
-            .enumerate()
-            .any(|(s, &d)| s != src && d == Some(dst))
-        {
+        if self.src_of[dst].is_some_and(|s| s != src) {
             return Err(PermError::NotInjective { img: dst });
         }
+        if let Some(old) = self.dest[src] {
+            self.src_of[old] = None;
+        }
         self.dest[src] = Some(dst);
+        self.src_of[dst] = Some(src);
         Ok(())
     }
 
@@ -187,17 +189,45 @@ mod tests {
         let mut pp = PartialPermutation::new(4);
         pp.pin(0, 2).unwrap();
         assert_eq!(pp.pin(1, 2), Err(PermError::NotInjective { img: 2 }));
-        // Re-pinning the same source is allowed.
+        assert_eq!(pp.get(1), None, "a rejected pin changes nothing");
+        // Re-pinning the same source is allowed and frees its old
+        // destination; pinning the same pair again is a no-op.
+        pp.pin(0, 3).unwrap();
         pp.pin(0, 3).unwrap();
         pp.pin(1, 2).unwrap();
+        assert_eq!(pp.pin(2, 3), Err(PermError::NotInjective { img: 3 }));
         assert_eq!(pp.num_pinned(), 2);
+    }
+
+    #[test]
+    fn half_pinned_pair_keeps_its_first_pin() {
+        // The transpiler planner pins a pair's two tokens one at a time
+        // and skips the pair when a pin fails; a pin that already
+        // succeeded stays, and its destination stays held.
+        let mut pp = PartialPermutation::new(6);
+        pp.pin(5, 1).unwrap();
+        pp.pin(0, 4).unwrap();
+        assert_eq!(pp.pin(3, 1), Err(PermError::NotInjective { img: 1 }));
+        assert_eq!(pp.get(0), Some(4));
+        assert_eq!(pp.get(3), None);
+        assert_eq!(pp.pin(2, 4), Err(PermError::NotInjective { img: 4 }));
+        assert_eq!(pp.num_pinned(), 2);
+        let p = pp.complete(&Completion::StayInPlace);
+        assert_eq!((p.apply(0), p.apply(5)), (4, 1));
     }
 
     #[test]
     fn pin_rejects_out_of_range() {
         let mut pp = PartialPermutation::new(3);
-        assert!(pp.pin(0, 9).is_err());
-        assert!(pp.pin(9, 0).is_err());
+        assert_eq!(
+            pp.pin(0, 9),
+            Err(PermError::ImageOutOfRange { src: 0, img: 9, n: 3 })
+        );
+        assert_eq!(
+            pp.pin(9, 0),
+            Err(PermError::ImageOutOfRange { src: 9, img: 0, n: 3 })
+        );
+        assert_eq!(pp.num_pinned(), 0);
     }
 
     #[test]

@@ -38,12 +38,20 @@ impl Client {
     /// Connect to a daemon at `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServiceError> {
         let stream = TcpStream::connect(addr).map_err(|e| ServiceError::Io(e.to_string()))?;
+        // Job lines are small and pipelined; see the daemon's accept loop.
+        let _ = stream.set_nodelay(true);
         let reader = BufReader::new(
             stream
                 .try_clone()
                 .map_err(|e| ServiceError::Io(e.to_string()))?,
         );
         Ok(Client { reader, writer: stream })
+    }
+
+    /// The connection's socket.
+    #[cfg(test)]
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.writer
     }
 
     /// Send one raw request line (job or control).

@@ -421,6 +421,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Outcome lines are small and pipelined: without TCP_NODELAY,
+        // Nagle holds each one until the peer's delayed ACK (~40 ms). A
+        // connection that refuses the option is still served.
+        let _ = stream.set_nodelay(true);
         shared.stats.connections.inc();
         if let Ok(read_half) = stream.try_clone() {
             shared
@@ -865,6 +869,24 @@ mod tests {
         let stats = stats_with_buckets(&[(1, 1), (7, 1)]);
         assert!((stats.latency_quantile_ms(1.0) - midpoint_ms(7)).abs() < 1e-12);
         assert!((stats.latency_quantile_ms(0.0) - midpoint_ms(1)).abs() < 1e-12);
+    }
+
+    /// Both ends of a daemon connection disable Nagle, so a pipelined
+    /// line never waits on the peer's delayed ACK.
+    #[test]
+    fn both_ends_of_a_connection_set_nodelay() {
+        let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::default()).unwrap();
+        let mut client = crate::client::Client::connect(daemon.local_addr()).unwrap();
+        // One round trip: the accept loop has registered the connection.
+        client
+            .send_line(r#"{"side": 4, "router": "ats", "class": "random", "seed": 1}"#)
+            .unwrap();
+        let line = client.recv_line().unwrap().expect("an outcome line");
+        assert!(line.contains("\"depth\""), "{line}");
+        assert!(client.stream().nodelay().unwrap(), "client end");
+        let conns = daemon.shared.conns.lock().unwrap();
+        assert_eq!(conns.len(), 1);
+        assert!(conns[0].nodelay().unwrap(), "daemon end");
     }
 
     /// Chaos: a connection thread that panics while holding a shared
