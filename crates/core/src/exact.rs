@@ -7,7 +7,7 @@
 //! *optimality gap* measurements of every router (the `repro -- optgap`
 //! experiment) and for tests.
 
-use crate::schedule::{RoutingSchedule, SwapLayer};
+use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
 use qroute_topology::{Edge, Graph};
 use std::collections::HashMap;
@@ -106,15 +106,17 @@ pub fn optimal_schedule(
                 let done = nc == goal;
                 cfgs.push(nc);
                 if done {
-                    let mut layers: Vec<SwapLayer> = Vec::new();
+                    let mut layers: Vec<&[Edge]> = Vec::new();
                     let mut cur = new_idx;
                     while parents[cur].0 != usize::MAX {
                         let (p, m) = parents[cur];
-                        layers.push(SwapLayer::new(matchings[m].clone()));
+                        layers.push(&matchings[m]);
                         cur = p;
                     }
                     layers.reverse();
-                    return Some(RoutingSchedule::from_layers(layers));
+                    return Some(RoutingSchedule::from_layers(
+                        layers.into_iter().map(|m| m.iter().copied()),
+                    ));
                 }
                 next.push(new_idx);
             }

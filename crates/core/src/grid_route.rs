@@ -24,7 +24,7 @@
 
 use crate::line::{FirstParity, LineScratch};
 use crate::product_route::{FactorRouter, PathFactor};
-use crate::schedule::{RoutingSchedule, SwapLayer};
+use crate::schedule::{vertex_id, RoutingSchedule};
 use qroute_matching::{decompose_regular, BipartiteMultigraph, EdgeId, LabeledEdge};
 use qroute_perm::Permutation;
 use qroute_topology::{Grid, Path};
@@ -54,37 +54,96 @@ impl LineStrategy {
     }
 }
 
-/// Route vertex-disjoint copies of `factor` in parallel. Copy `c` is an
-/// arithmetic progression of vertex ids — its position `p` is vertex
-/// `c·step + stride·p` — and `targets[c][p]` is the destination position
-/// of the token at position `p`; rows and columns of a row-major product
-/// are always progressions, so no per-line vertex vector is ever
-/// materialized. Round `k` of every copy is merged into one swap layer.
-/// Copies are routed one at a time through the shared `scratch`, so with
-/// path factors the whole pass allocates only the output layers.
-fn route_parallel_lines<F: FactorRouter>(
-    factor: &F,
-    targets: &[Vec<usize>],
-    (step, stride): (usize, usize),
-    strategy: LineStrategy,
-    scratch: &mut LineScratch,
-) -> RoutingSchedule {
-    let mut layers: Vec<SwapLayer> = Vec::new();
-    for (c, line) in targets.iter().enumerate() {
-        let base = c * step;
-        let rounds = factor.route_line(line, strategy, scratch);
-        for (k, round) in rounds.iter().enumerate() {
-            if k == layers.len() {
-                layers.push(SwapLayer::default());
+/// A 3-phase pass under construction, plus its scratch: the line router's
+/// buffers and one staged phase. Algorithm 1 routes both of its passes
+/// through one `PassScratch`, so the second pass stages in memory the
+/// first one already holds.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    /// The pass's swaps so far, layer after layer.
+    swaps: Vec<(u32, u32)>,
+    /// End offset of every layer in `swaps`.
+    ends: Vec<usize>,
+    line: LineScratch,
+    /// The current phase's swaps, line after line, each line's rounds in
+    /// order.
+    staged: Vec<(u32, u32)>,
+    /// `(round index, swap count)` of every staged round, in staging order.
+    rounds: Vec<(usize, usize)>,
+    /// Per phase layer: its swap count, then its write cursor.
+    next: Vec<usize>,
+}
+
+impl PassScratch {
+    /// Route vertex-disjoint copies of `factor` in parallel and append
+    /// them to the pass as its next phase. Copy `c` is an arithmetic
+    /// progression of vertex ids — its position `p` is vertex
+    /// `c·step + stride·p` — and `targets[c][p]` is the destination
+    /// position of the token at position `p`; rows and columns of a
+    /// row-major product are always progressions, so no per-line vertex
+    /// vector is ever materialized.
+    ///
+    /// Round `k` of every copy forms the phase's layer `k`, in copy order.
+    /// The copies are routed one at a time and staged; the phase is then
+    /// counted per layer and scattered layer-major behind the earlier
+    /// phases, growing `swaps` by exactly the phase's size. Empty layers
+    /// are dropped.
+    fn phase<F: FactorRouter>(
+        &mut self,
+        factor: &F,
+        targets: &[Vec<usize>],
+        (step, stride): (usize, usize),
+        strategy: LineStrategy,
+    ) {
+        let PassScratch { swaps, ends, line: line_scratch, staged, rounds, next } = self;
+        staged.clear();
+        rounds.clear();
+        next.clear();
+        for (c, line) in targets.iter().enumerate() {
+            let base = c * step;
+            for (k, round) in factor
+                .route_line(line, strategy, line_scratch)
+                .iter()
+                .enumerate()
+            {
+                if k == next.len() {
+                    next.push(0);
+                }
+                next[k] += round.len();
+                rounds.push((k, round.len()));
+                staged.extend(
+                    round.iter().map(|&(a, b)| {
+                        (vertex_id(base + stride * a), vertex_id(base + stride * b))
+                    }),
+                );
             }
-            layers[k].swaps.extend(
-                round
-                    .iter()
-                    .map(|&(a, b)| (base + stride * a, base + stride * b)),
-            );
+        }
+        let mut end = swaps.len();
+        for cursor in next.iter_mut() {
+            let start = end;
+            end += *cursor;
+            *cursor = start;
+            if end > start {
+                ends.push(end);
+            }
+        }
+        swaps.reserve_exact(staged.len());
+        swaps.resize(end, (0, 0));
+        let mut from = 0;
+        for &(k, len) in rounds.iter() {
+            let to = next[k];
+            swaps[to..to + len].copy_from_slice(&staged[from..from + len]);
+            next[k] = to + len;
+            from += len;
         }
     }
-    RoutingSchedule::from_layers(layers)
+
+    /// The assembled pass; the scratch is ready for the next one.
+    fn finish(&mut self) -> RoutingSchedule {
+        let mut ends = std::mem::take(&mut self.ends);
+        ends.shrink_to_fit();
+        RoutingSchedule::from_parts(std::mem::take(&mut self.swaps), ends)
+    }
 }
 
 /// Build the column multigraph `G[1,m]` of §IV-A for permutation `π`:
@@ -126,7 +185,15 @@ pub fn grid_route_with_sigmas(
     strategy: LineStrategy,
 ) -> RoutingSchedule {
     let (f1, f2) = path_factors(grid);
-    route_phases(grid, &f1, &f2, pi, sigmas, strategy)
+    route_phases(
+        grid,
+        &f1,
+        &f2,
+        pi,
+        sigmas,
+        strategy,
+        &mut PassScratch::default(),
+    )
 }
 
 /// `GridRoute(F1 □ F2, π; σ₁,…,σₙ)` on the product laid out as `shape`:
@@ -139,6 +206,7 @@ pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
     pi: &Permutation,
     sigmas: &[Vec<usize>],
     strategy: LineStrategy,
+    scratch: &mut PassScratch,
 ) -> RoutingSchedule {
     let m = shape.rows();
     let n = shape.cols();
@@ -176,21 +244,16 @@ pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
         }
     }
 
-    let mut scratch = LineScratch::new();
     // Column j is vertices {j, j+n, …} (step 1, stride n); row r is
     // {r·n, r·n+1, …} (step n, stride 1). Targets are borrowed straight
     // from the phase tables — no per-line clones.
     // Phase 1: columns permuted by σ.
-    let phase1 = route_parallel_lines(f1, sigmas, (1, n), strategy, &mut scratch);
+    scratch.phase(f1, sigmas, (1, n), strategy);
     // Phase 2: rows to destination columns.
-    let phase2 = route_parallel_lines(f2, &row_targets, (n, 1), strategy, &mut scratch);
+    scratch.phase(f2, &row_targets, (n, 1), strategy);
     // Phase 3: columns to destination rows.
-    let phase3 = route_parallel_lines(f1, &col_targets, (1, n), strategy, &mut scratch);
-    let mut schedule = RoutingSchedule::empty();
-    for phase in [phase1, phase2, phase3] {
-        schedule.extend(phase);
-    }
-    schedule
+    scratch.phase(f1, &col_targets, (1, n), strategy);
+    scratch.finish()
 }
 
 /// σ from `m` perfect matchings and their staging rows: every qubit of
@@ -216,6 +279,13 @@ pub(crate) fn sigmas_from(
 /// [`NaiveOptions`] stages arbitrarily, [`crate::LocalRouteOptions`] by
 /// locality.
 pub(crate) trait Staging {
+    /// The line strategy of the three phases.
+    fn line(&self) -> LineStrategy;
+
+    /// The staging rows σ for `π` on the product laid out as `shape`,
+    /// whose columns are copies of `f1`.
+    fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation) -> Vec<Vec<usize>>;
+
     /// One 3-phase pass on the product laid out as `shape`: pick σ for
     /// `π`, then route the three line phases with `f1` and `f2`.
     fn route_once<A: FactorRouter, B: FactorRouter>(
@@ -224,13 +294,41 @@ pub(crate) trait Staging {
         f1: &A,
         f2: &B,
         pi: &Permutation,
-    ) -> RoutingSchedule;
+        scratch: &mut PassScratch,
+    ) -> RoutingSchedule {
+        let sigmas = self.sigmas(shape, f1, pi);
+        route_phases(shape, f1, f2, pi, &sigmas, self.line(), scratch)
+    }
 }
 
-/// Algorithm 1 on the product `F1 □ F2` laid out as `shape`: one pass with
-/// `staging`; with `try_transpose`, a second pass on the transposed
-/// instance (the factor swap `F2 □ F1`), keeping the shallower schedule in
-/// original vertex ids; then, with `compact`, ASAP compaction.
+/// Algorithm 1's passes on the product `F1 □ F2` laid out as `shape`: one
+/// pass with `staging`; with `try_transpose`, a second pass on the
+/// transposed instance (the factor swap `F2 □ F1`), keeping the shallower
+/// schedule in original vertex ids. Compaction is left to the caller.
+pub(crate) fn best_pass<S: Staging, A: FactorRouter, B: FactorRouter>(
+    shape: Grid,
+    f1: &A,
+    f2: &B,
+    pi: &Permutation,
+    staging: &S,
+    try_transpose: bool,
+) -> RoutingSchedule {
+    let mut scratch = PassScratch::default();
+    let best = staging.route_once(shape, f1, f2, pi, &mut scratch);
+    if !try_transpose {
+        return best;
+    }
+    let (shape_t, pi_t) = transpose_instance(shape, pi);
+    let alt = staging.route_once(shape_t, f2, f1, &pi_t, &mut scratch);
+    let alt = untranspose_schedule(shape_t, alt);
+    if alt.depth() < best.depth() {
+        alt
+    } else {
+        best
+    }
+}
+
+/// Algorithm 1: [`best_pass`], then, with `compact`, ASAP compaction.
 pub(crate) fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
     shape: Grid,
     f1: &A,
@@ -240,18 +338,12 @@ pub(crate) fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
     try_transpose: bool,
     compact: bool,
 ) -> RoutingSchedule {
-    let mut best = staging.route_once(shape, f1, f2, pi);
-    if try_transpose {
-        let (shape_t, pi_t) = transpose_instance(shape, pi);
-        let alt = untranspose_schedule(shape_t, staging.route_once(shape_t, f2, f1, &pi_t));
-        if alt.depth() < best.depth() {
-            best = alt;
-        }
-    }
+    let best = best_pass(shape, f1, f2, pi, staging, try_transpose);
     if compact {
-        best = best.compact(shape.len());
+        best.compact(shape.len())
+    } else {
+        best
     }
-    best
 }
 
 /// Options for the naive grid router.
@@ -319,25 +411,19 @@ pub fn transpose_instance(grid: Grid, pi: &Permutation) -> (Grid, Permutation) {
 /// ids.
 pub fn untranspose_schedule(grid_t: Grid, mut schedule: RoutingSchedule) -> RoutingSchedule {
     // In place: a side-128 schedule holds over a million swaps, and
-    // `algorithm1` still holds the other orientation's schedule.
-    for layer in &mut schedule.layers {
-        for (u, v) in &mut layer.swaps {
-            (*u, *v) = (grid_t.transpose_vertex(*u), grid_t.transpose_vertex(*v));
-        }
-    }
+    // `best_pass` still holds the other orientation's schedule.
+    schedule.relabel(|v| grid_t.transpose_vertex(v));
     schedule
 }
 
 impl Staging for NaiveOptions {
+    fn line(&self) -> LineStrategy {
+        self.line
+    }
+
     /// Decompose `G[1,m]` into `m` perfect matchings *arbitrarily* and
     /// stage matching `k` in row `k` in extraction order.
-    fn route_once<A: FactorRouter, B: FactorRouter>(
-        &self,
-        shape: Grid,
-        f1: &A,
-        f2: &B,
-        pi: &Permutation,
-    ) -> RoutingSchedule {
+    fn sigmas<A: FactorRouter>(&self, shape: Grid, _f1: &A, pi: &Permutation) -> Vec<Vec<usize>> {
         // One cooperative cancellation probe per 3-phase pass.
         crate::budget::checkpoint();
         let mut mg = build_column_multigraph(shape, pi);
@@ -366,8 +452,7 @@ impl Staging for NaiveOptions {
         if let Some(seed) = self.randomize {
             seeded_shuffle(&mut row_of, seed ^ 0xABCD);
         }
-        let sigmas = sigmas_from(shape, &mg, &matchings, &row_of);
-        route_phases(shape, f1, f2, pi, &sigmas, self.line)
+        sigmas_from(shape, &mg, &matchings, &row_of)
     }
 }
 

@@ -13,9 +13,10 @@
 //!
 //! Modules:
 //!
-//! * [`schedule`] — [`SwapLayer`]/[`RoutingSchedule`]: application,
-//!   verification, matching-validity checks, and the ASAP depth-compaction
-//!   pass shared by all routers.
+//! * [`schedule`] — [`RoutingSchedule`], swap layers stored flat as one
+//!   `(u32, u32)` buffer plus layer offsets: application, verification,
+//!   matching-validity checks, and the ASAP depth-compaction pass shared
+//!   by all routers.
 //! * [`line`](mod@line) — odd–even transposition routing on a path: the primitive
 //!   each phase of the 3-phase grid algorithm runs on rows/columns.
 //! * [`grid_route`] — the one 3-phase pipeline, `GridRoute(G, π; σ₁,…,σₙ)`
@@ -49,6 +50,8 @@
 
 pub mod budget;
 pub mod exact;
+#[cfg(test)]
+mod flat_reference;
 pub mod grid_route;
 pub mod line;
 pub mod local_grid;
@@ -64,5 +67,5 @@ pub use budget::{BudgetExceeded, CancelToken, RouteBudget};
 pub use local_grid::{AssignmentStrategy, LocalRouteOptions, WindowMode};
 pub use pathfinder::{pathfinder_route_grid, pathfinder_route_with, PathfinderOptions};
 pub use router::{GridRouter, RouterKind, UnsupportedTopology};
-pub use schedule::{RoutingSchedule, ScheduleError, SwapLayer};
+pub use schedule::{RoutingSchedule, ScheduleError};
 pub use stats::{route_timed, schedule_stats, SampleSummary, ScheduleStats, TimedRoute};

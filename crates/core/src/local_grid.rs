@@ -25,7 +25,7 @@
 
 use crate::grid_route::{
     algorithm1, build_column_multigraph, path_factors, route_phases, sigmas_from, LineStrategy,
-    Staging,
+    PassScratch, Staging,
 };
 use crate::product_route::FactorRouter;
 use crate::schedule::RoutingSchedule;
@@ -330,24 +330,33 @@ fn assign_rows(
 }
 
 impl Staging for LocalRouteOptions {
-    /// Algorithm 2 on `F1 □ F2`: locality-aware matchings, row assignment
-    /// by `Δ` in `F1`'s distance, and the three line phases.
+    fn line(&self) -> LineStrategy {
+        self.line
+    }
+
+    /// Algorithm 2's staging on `F1 □ F2`: locality-aware matchings and
+    /// row assignment by `Δ` in `F1`'s distance.
+    fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation) -> Vec<Vec<usize>> {
+        let mut mg = build_column_multigraph(shape, pi);
+        let mut matchings = find_local_matchings(shape, &mut mg, self.window);
+        rebalance_parallel_edges(&mg, &mut matchings);
+        let row_of = assign_rows(&mg, &matchings, self.assignment, |u, v| f1.dist(u, v));
+        sigmas_from(shape, &mg, &matchings, &row_of)
+    }
+
+    /// Algorithm 2 on `F1 □ F2`: the staging, then the three line phases,
+    /// each under its own span.
     fn route_once<A: FactorRouter, B: FactorRouter>(
         &self,
         shape: Grid,
         f1: &A,
         f2: &B,
         pi: &Permutation,
+        scratch: &mut PassScratch,
     ) -> RoutingSchedule {
-        let sigmas = qroute_obs::trace::span("locality.matchings", || {
-            let mut mg = build_column_multigraph(shape, pi);
-            let mut matchings = find_local_matchings(shape, &mut mg, self.window);
-            rebalance_parallel_edges(&mg, &mut matchings);
-            let row_of = assign_rows(&mg, &matchings, self.assignment, |u, v| f1.dist(u, v));
-            sigmas_from(shape, &mg, &matchings, &row_of)
-        });
+        let sigmas = qroute_obs::trace::span("locality.matchings", || self.sigmas(shape, f1, pi));
         qroute_obs::trace::span("locality.line_routing", || {
-            route_phases(shape, f1, f2, pi, &sigmas, self.line)
+            route_phases(shape, f1, f2, pi, &sigmas, self.line, scratch)
         })
     }
 }
@@ -361,7 +370,7 @@ pub fn local_grid_route_single(
     opts: &LocalRouteOptions,
 ) -> RoutingSchedule {
     let (f1, f2) = path_factors(grid);
-    opts.route_once(grid, &f1, &f2, pi)
+    opts.route_once(grid, &f1, &f2, pi, &mut PassScratch::default())
 }
 
 /// Algorithm 1, the main procedure: run `LocalGridRoute` on `(G, π)` and —

@@ -274,6 +274,18 @@ pub fn pathfinder_route_with(
     pi: &Permutation,
     opts: &PathfinderOptions,
 ) -> RoutingSchedule {
+    let swaps = pathfinder_swaps(graph, oracle, pi, opts);
+    RoutingSchedule::compact_swaps(graph.len(), swaps.iter().copied())
+}
+
+/// The serial swap sequence of [`pathfinder_route_with`], before the
+/// ASAP pass lays it out in layers.
+pub(crate) fn pathfinder_swaps(
+    graph: &Graph,
+    oracle: &impl DistanceOracle,
+    pi: &Permutation,
+    opts: &PathfinderOptions,
+) -> Vec<(usize, usize)> {
     let n = graph.len();
     assert_eq!(pi.len(), n, "permutation size must match graph");
     assert_eq!(oracle.len(), n, "oracle size must match graph");
@@ -427,7 +439,7 @@ pub fn pathfinder_route_with(
         }
     }
 
-    RoutingSchedule::compact_swaps(n, swaps)
+    swaps
 }
 
 /// [`pathfinder_route_with`] on a full grid with the `O(1)` closed-form

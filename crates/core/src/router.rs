@@ -6,13 +6,12 @@
 //! locality aware algorithm by that of the naive algorithm. This has
 //! virtually no computational overhead." — that is [`RouterKind::Hybrid`].
 
-use crate::grid_route::{naive_grid_route, NaiveOptions};
+use crate::grid_route::{best_pass, naive_grid_route, path_factors, NaiveOptions};
 use crate::local_grid::{main_procedure, LocalRouteOptions};
 use crate::pathfinder::{pathfinder_route_grid, pathfinder_route_with, PathfinderOptions};
 use crate::schedule::RoutingSchedule;
 use crate::token_swap::{
-    approximate_token_swapping_with, ats_route_grid, parallel_token_swapping_with, serial_schedule,
-    tree_route,
+    approximate_token_swapping_with, ats_route_grid, parallel_token_swapping_with, tree_route,
 };
 use qroute_perm::Permutation;
 use qroute_topology::{Grid, GridOracle, Topology};
@@ -233,9 +232,24 @@ impl RouterKind {
                 RouterKind::NaiveGrid(opts) => naive_grid_route(grid, pi, opts),
                 RouterKind::Hybrid(lo, no) => {
                     let local = main_procedure(grid, pi, lo);
-                    let naive = naive_grid_route(grid, pi, no);
-                    if naive.depth() < local.depth() {
-                        naive
+                    // Count the naive schedule's compacted depth before
+                    // laying it out: a losing naive schedule is never
+                    // compacted, and a winning one is compacted after the
+                    // local schedule is freed.
+                    let (f1, f2) = path_factors(grid);
+                    let naive = best_pass(grid, &f1, &f2, pi, no, no.try_transpose);
+                    let naive_depth = if no.compact {
+                        naive.compacted_depth(grid.len())
+                    } else {
+                        naive.depth()
+                    };
+                    if naive_depth < local.depth() {
+                        drop(local);
+                        if no.compact {
+                            naive.compact(grid.len())
+                        } else {
+                            naive
+                        }
                     } else {
                         local
                     }
@@ -247,8 +261,8 @@ impl RouterKind {
                         .parallelized(grid.len())
                 }
                 RouterKind::Tree => {
-                    let graph = grid.to_graph();
-                    serial_schedule(&tree_route(&graph, pi)).compact(grid.len())
+                    let swaps = tree_route(&grid.to_graph(), pi);
+                    RoutingSchedule::compact_swaps(grid.len(), swaps.iter().copied())
                 }
                 RouterKind::Snake => crate::snake::snake_route(grid, pi).compact(grid.len()),
                 RouterKind::Pathfinder(opts) => pathfinder_route_grid(grid, pi, opts),
@@ -292,7 +306,8 @@ impl RouterKind {
                     .parallelized(frame.graph.len())
             }
             RouterKind::Tree => {
-                serial_schedule(&tree_route(&frame.graph, &frame_pi)).compact(frame.graph.len())
+                let swaps = tree_route(&frame.graph, &frame_pi);
+                RoutingSchedule::compact_swaps(frame.graph.len(), swaps.iter().copied())
             }
             RouterKind::Pathfinder(opts) => {
                 pathfinder_route_with(&frame.graph, &oracle, &frame_pi, opts)

@@ -9,7 +9,7 @@
 //! on any grid without matching machinery.
 
 use crate::line::route_line_best;
-use crate::schedule::{RoutingSchedule, SwapLayer};
+use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
 use qroute_topology::Grid;
 
@@ -43,18 +43,11 @@ pub fn snake_route(grid: Grid, pi: &Permutation) -> RoutingSchedule {
     // Token at snake position p must reach position pos[π(order[p])].
     let targets: Vec<usize> = order.iter().map(|&v| pos[pi.apply(v)]).collect();
     let rounds = route_line_best(&targets);
-    let layers = rounds
-        .into_iter()
-        .map(|round| {
-            SwapLayer::new(
-                round
-                    .into_iter()
-                    .map(|(a, b)| (order[a], order[b]))
-                    .collect(),
-            )
-        })
-        .collect();
-    RoutingSchedule::from_layers(layers)
+    RoutingSchedule::from_layers(
+        rounds
+            .iter()
+            .map(|round| round.iter().map(|&(a, b)| (order[a], order[b]))),
+    )
 }
 
 #[cfg(test)]

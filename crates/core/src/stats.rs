@@ -124,11 +124,11 @@ pub fn schedule_stats(grid: Grid, pi: &Permutation, schedule: &RoutingSchedule) 
     let size = schedule.size();
     let mut vertex_load = vec![0usize; grid.len()];
     let mut max_layer = 0usize;
-    for layer in &schedule.layers {
+    for layer in schedule.layers() {
         max_layer = max_layer.max(layer.len());
-        for &(u, v) in &layer.swaps {
-            vertex_load[u] += 1;
-            vertex_load[v] += 1;
+        for &(u, v) in layer {
+            vertex_load[u as usize] += 1;
+            vertex_load[v as usize] += 1;
         }
     }
     let maxd = metrics::max_displacement(grid, pi);

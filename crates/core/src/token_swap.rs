@@ -55,7 +55,7 @@
 //! Both are exact: a test pins the schedules against a verbatim copy of
 //! the full-scan implementation on every oracle.
 
-use crate::schedule::{RoutingSchedule, SwapLayer};
+use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
 use qroute_topology::{dist, DistanceOracle, Graph, Grid, GridOracle, LazyBfsOracle};
 
@@ -285,6 +285,16 @@ pub fn parallel_token_swapping_with(
     oracle: &impl DistanceOracle,
     pi: &Permutation,
 ) -> RoutingSchedule {
+    parallel_rounds(graph, oracle, pi).compact(graph.len())
+}
+
+/// The round loop of [`parallel_token_swapping_with`]: one layer per
+/// happy round or stuck-phase step, before the final compaction.
+pub(crate) fn parallel_rounds(
+    graph: &Graph,
+    oracle: &impl DistanceOracle,
+    pi: &Permutation,
+) -> RoutingSchedule {
     let n = graph.len();
     assert_eq!(pi.len(), n, "permutation size must match graph");
     assert_eq!(oracle.len(), n, "oracle size must match graph");
@@ -314,6 +324,7 @@ pub fn parallel_token_swapping_with(
     let mut dead = vec![0u64; n];
     let mut chain_swaps: Vec<(usize, usize)> = Vec::new();
     let mut chains: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut layer: Vec<(usize, usize)> = Vec::new();
 
     while state.num_unfinished > 0 {
         // One cooperative cancellation probe per parallel round.
@@ -331,7 +342,7 @@ pub fn parallel_token_swapping_with(
             );
             let rest = Permutation::from_vec_unchecked(dest.clone());
             for (u, v) in tree_route(graph, &rest) {
-                schedule.push_layer(SwapLayer::new(vec![(u, v)]));
+                schedule.push_layer([(u, v)]);
                 dest.swap(u, v);
             }
             break;
@@ -340,13 +351,13 @@ pub fn parallel_token_swapping_with(
         // Happy layer: maximal disjoint set in canonical edge order. Only
         // happy edges can join it, so walking the happy set in ascending
         // id order picks exactly what a scan of every edge would.
-        let mut layer = SwapLayer::default();
+        layer.clear();
         for e in state.happy.iter() {
             let (u, v) = graph.edges()[e];
             if used[u] == round || used[v] == round {
                 continue;
             }
-            layer.swaps.push((u, v));
+            layer.push((u, v));
             used[u] = round;
             used[v] = round;
         }
@@ -356,17 +367,14 @@ pub fn parallel_token_swapping_with(
                 &[
                     ("round", qroute_obs::FieldValue::U64(round)),
                     ("kind", qroute_obs::FieldValue::Str("happy")),
-                    (
-                        "swaps",
-                        qroute_obs::FieldValue::U64(layer.swaps.len() as u64),
-                    ),
+                    ("swaps", qroute_obs::FieldValue::U64(layer.len() as u64)),
                 ],
             );
-            for &(u, v) in &layer.swaps {
+            for &(u, v) in &layer {
                 dest.swap(u, v);
             }
-            state.refresh(graph, oracle, &dest, layer.swaps.iter().copied());
-            schedule.push_layer(layer);
+            state.refresh(graph, oracle, &dest, layer.iter().copied());
+            schedule.push_layer(layer.iter().copied());
             continue;
         }
 
@@ -444,20 +452,18 @@ pub fn parallel_token_swapping_with(
         // Layer j holds every chain's j-th swap, in chain order; `chains`
         // keeps each chain's not-yet-layered rest.
         while !chains.is_empty() {
-            let mut layer = SwapLayer::default();
-            for c in &mut chains {
+            schedule.push_layer(chains.iter_mut().map(|c| {
                 let (a, b) = chain_swaps[c.start];
-                layer.swaps.push((a, b));
                 dest.swap(a, b);
                 c.start += 1;
-            }
+                (a, b)
+            }));
             chains.retain(|c| !c.is_empty());
-            schedule.push_layer(layer);
         }
         state.refresh(graph, oracle, &dest, chain_swaps.iter().copied());
     }
 
-    schedule.compact(n)
+    schedule
 }
 
 /// Whether swapping across edge `(u, v)` moves both tokens strictly
@@ -683,12 +689,7 @@ fn tree_path(parent: &[usize], a: usize, b: usize) -> Vec<usize> {
 
 /// Realize a serial swap list as a (serial) schedule: one layer per swap.
 pub fn serial_schedule(swaps: &[(usize, usize)]) -> RoutingSchedule {
-    RoutingSchedule::from_layers(
-        swaps
-            .iter()
-            .map(|&(u, v)| SwapLayer::new(vec![(u, v)]))
-            .collect(),
-    )
+    RoutingSchedule::from_layers(swaps.iter().map(|&swap| [swap]))
 }
 
 #[cfg(test)]
@@ -827,14 +828,14 @@ mod tests {
                 );
                 let rest = Permutation::from_vec_unchecked(dest.clone());
                 for (u, v) in tree_route(graph, &rest) {
-                    schedule.push_layer(SwapLayer::new(vec![(u, v)]));
+                    schedule.push_layer([(u, v)]);
                     dest.swap(u, v);
                 }
                 break;
             }
             round += 1;
             // Happy layer: maximal disjoint set in canonical edge order.
-            let mut layer = SwapLayer::default();
+            let mut layer: Vec<(usize, usize)> = Vec::new();
             for &(u, v) in graph.edges() {
                 if used[u] == round || used[v] == round {
                     continue;
@@ -845,7 +846,7 @@ mod tests {
                     && oracle.dist(v, du) < oracle.dist(u, du)
                     && oracle.dist(u, dv) < oracle.dist(v, dv)
                 {
-                    layer.swaps.push((u, v));
+                    layer.push((u, v));
                     used[u] = round;
                     used[v] = round;
                 }
@@ -856,13 +857,10 @@ mod tests {
                     &[
                         ("round", qroute_obs::FieldValue::U64(round)),
                         ("kind", qroute_obs::FieldValue::Str("happy")),
-                        (
-                            "swaps",
-                            qroute_obs::FieldValue::U64(layer.swaps.len() as u64),
-                        ),
+                        ("swaps", qroute_obs::FieldValue::U64(layer.len() as u64)),
                     ],
                 );
-                for &(u, v) in &layer.swaps {
+                for &(u, v) in &layer {
                     dest.swap(u, v);
                 }
                 schedule.push_layer(layer);
@@ -933,13 +931,13 @@ mod tests {
                 ],
             );
             for j in 0..maxlen {
-                let mut layer = SwapLayer::default();
+                let mut layer: Vec<(usize, usize)> = Vec::new();
                 for ch in &chains {
                     if let Some(&s) = ch.get(j) {
-                        layer.swaps.push(s);
+                        layer.push(s);
                     }
                 }
-                for &(a, b) in &layer.swaps {
+                for &(a, b) in &layer {
                     dest.swap(a, b);
                 }
                 schedule.push_layer(layer);

@@ -384,10 +384,10 @@ fn parse_topology(value: &serde_json::Value) -> Result<TopologySpec, String> {
                     .ok_or("\"dead_edges\" must be an array of [u, v] pairs")?
                     .iter()
                     .map(|pair| {
-                        let ints: Option<Vec<usize>> = pair.as_array().map(|xs| {
-                            xs.iter()
-                                .filter_map(|x| x.as_u64().map(|v| v as usize))
-                                .collect()
+                        // Every element must be an integer: one that is not
+                        // rejects the pair instead of dropping out of it.
+                        let ints: Option<Vec<usize>> = pair.as_array().and_then(|xs| {
+                            xs.iter().map(|x| x.as_u64().map(|v| v as usize)).collect()
                         });
                         match ints.as_deref() {
                             Some([u, v]) => Ok((*u, *v)),
@@ -839,6 +839,18 @@ mod tests {
             ),
             (
                 r#"{"side": 4, "class": "random", "seed": 0, "topology": {"kind": "defect", "dead_edges": [[0]]}}"#,
+                "pairs",
+            ),
+            (
+                r#"{"side": 4, "class": "random", "seed": 0, "topology": {"kind": "defect", "dead_edges": [[0, "x", 1]]}}"#,
+                "pairs",
+            ),
+            (
+                r#"{"side": 4, "class": "random", "seed": 0, "topology": {"kind": "defect", "dead_edges": [[0, -1, 1]]}}"#,
+                "pairs",
+            ),
+            (
+                r#"{"side": 4, "class": "random", "seed": 0, "topology": {"kind": "defect", "dead_edges": [[0, 1.5, 1]]}}"#,
                 "pairs",
             ),
         ] {

@@ -152,13 +152,12 @@ impl Transpiler {
             routing_invocations += 1;
             routing_depth_added += schedule.depth();
             let mut round_swaps = 0usize;
-            for layer in &schedule.layers {
-                for &(u, v) in &layer.swaps {
-                    physical.push(Gate::Swap(u, v));
-                    layout.apply_swap(u, v);
-                    swap_count += 1;
-                    round_swaps += 1;
-                }
+            for &(u, v) in schedule.swaps() {
+                let (u, v) = (u as usize, v as usize);
+                physical.push(Gate::Swap(u, v));
+                layout.apply_swap(u, v);
+                swap_count += 1;
+                round_swaps += 1;
             }
             rounds.push(RoundStats {
                 blocked_gates: blocked.len(),

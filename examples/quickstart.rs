@@ -49,11 +49,11 @@ fn main() {
 
     // Each layer is a matching of the grid: disjoint SWAPs that execute in
     // one time step.
-    let first = &schedule.layers[0];
+    let first = schedule.layer(0);
     println!(
         "first layer has {} parallel swaps, e.g. {:?}",
         first.len(),
-        &first.swaps[..3.min(first.swaps.len())]
+        &first[..3.min(first.len())]
     );
 
     // Every schedule can be checked against the coupling graph.

@@ -53,7 +53,7 @@ pub use qroute_transpiler as transpiler;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use qroute_circuit::{Circuit, Gate};
-    pub use qroute_core::{GridRouter, LocalRouteOptions, RouterKind, RoutingSchedule, SwapLayer};
+    pub use qroute_core::{GridRouter, LocalRouteOptions, RouterKind, RoutingSchedule};
     pub use qroute_perm::{PartialPermutation, Permutation};
     pub use qroute_topology::{Graph, Grid};
     pub use qroute_transpiler::{TranspileOptions, Transpiler};

@@ -14,10 +14,8 @@ use qroute::transpiler::InitialLayout;
 /// Turn a routing schedule into a SWAP circuit on `n` wires.
 fn schedule_to_circuit(n: usize, schedule: &RoutingSchedule) -> Circuit {
     let mut c = Circuit::new(n);
-    for layer in &schedule.layers {
-        for &(u, v) in &layer.swaps {
-            c.push(Gate::Swap(u, v));
-        }
+    for &(u, v) in schedule.swaps() {
+        c.push(Gate::Swap(u as usize, v as usize));
     }
     c
 }

@@ -177,9 +177,9 @@ proptest! {
         let grid = Grid::new(m, n);
         let pi = Permutation::from_vec(map).unwrap();
         let s = RouterKind::locality_aware().route(grid, &pi);
-        let counted: usize = s.layers.iter().map(|l| l.swaps.len()).sum();
+        let counted: usize = s.layers().map(<[_]>::len).sum();
         prop_assert_eq!(s.size(), counted);
-        prop_assert_eq!(s.depth(), s.layers.len());
+        prop_assert_eq!(s.depth(), s.layers().count());
     }
 }
 
