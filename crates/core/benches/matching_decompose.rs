@@ -4,8 +4,9 @@
 //!
 //! `matching_decompose` times the two full decompositions (naive's
 //! Hopcroft–Karp peel and the unwired Euler split); `window_sweep` times
-//! the locality-aware router's doubling band search on the same graphs.
-//! Both drive the `band_edges` / `extract_perfect_matchings` kernel.
+//! the locality-aware router's doubling band search on the same graphs
+//! and on block-local ones. Both drive the `band_edges` /
+//! `extract_perfect_matchings` kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qroute_core::grid_route::build_column_multigraph;
@@ -24,6 +25,14 @@ const SIDES: [usize; 4] = [16, 32, 64, 128];
 fn random_multigraph(side: usize) -> (Grid, BipartiteMultigraph) {
     let grid = Grid::new(side, side);
     let pi = generators::random(grid.len(), 5);
+    (grid, build_column_multigraph(grid, &pi))
+}
+
+/// The column multigraph of a seeded permutation within 4 × 4 blocks,
+/// whose matchings the sweep finds in narrow bands.
+fn block4_multigraph(side: usize) -> (Grid, BipartiteMultigraph) {
+    let grid = Grid::new(side, side);
+    let pi = generators::block_local(grid, 4, 4, 5);
     (grid, build_column_multigraph(grid, &pi))
 }
 
@@ -67,19 +76,22 @@ fn bench_window_sweep(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
 
     for side in SIDES {
-        let (grid, mut mg) = random_multigraph(side);
-        let full = mg.save_alive();
-
-        group.bench_with_input(
-            BenchmarkId::new("find_local_matchings", side),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    mg.restore_alive(&full);
-                    black_box(find_local_matchings(grid, &mut mg, WindowMode::Doubling).len())
-                })
-            },
-        );
+        for (class, (grid, mut mg)) in [
+            ("random", random_multigraph(side)),
+            ("block4", block4_multigraph(side)),
+        ] {
+            let full = mg.save_alive();
+            group.bench_with_input(
+                BenchmarkId::new(format!("find_local_matchings_{class}"), side),
+                &(),
+                |b, ()| {
+                    b.iter(|| {
+                        mg.restore_alive(&full);
+                        black_box(find_local_matchings(grid, &mut mg, WindowMode::Doubling).len())
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! match swap for swap, in the same order within each layer.
 
 use crate::grid_route::{path_factors, LineStrategy, NaiveOptions, Staging};
-use crate::line::{route_line_best, LineScratch};
+use crate::line::{route_line_best, LineRounds, LineScratch};
 use crate::local_grid::LocalRouteOptions;
 use crate::pathfinder::pathfinder_swaps;
 use crate::product_route::{product_route, FactorRouter, PathFactor};
@@ -15,7 +15,6 @@ use crate::snake::serpentine_order;
 use crate::token_swap::{approximate_token_swapping_with, parallel_rounds, tree_route};
 use qroute_perm::{generators, Permutation};
 use qroute_topology::{Grid, GridOracle, GridSymmetry, Path, Product};
-use std::borrow::Cow;
 
 /// The old layer type.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -118,7 +117,7 @@ fn route_parallel_lines<F: FactorRouter>(
             layers[k].swaps.extend(
                 round
                     .iter()
-                    .map(|&(a, b)| (base + stride * a, base + stride * b)),
+                    .map(|&(a, b)| (base + stride * a as usize, base + stride * b as usize)),
             );
         }
     }
@@ -332,15 +331,10 @@ impl FactorRouter for EmptyFirstRound {
         targets: &[usize],
         strategy: LineStrategy,
         scratch: &'s mut LineScratch,
-    ) -> Cow<'s, [Vec<(usize, usize)>]> {
-        let mut rounds = vec![Vec::new()];
-        rounds.extend(
-            self.0
-                .route_line(targets, strategy, scratch)
-                .iter()
-                .cloned(),
-        );
-        Cow::Owned(rounds)
+    ) -> LineRounds<'s> {
+        let rounds = self.0.route_line(targets, strategy, scratch);
+        let ends = std::iter::once(0).chain(rounds.ends().iter().copied());
+        LineRounds::new(rounds.swaps().to_vec(), ends.collect())
     }
 }
 

@@ -22,7 +22,7 @@
 //! staging rows. The naive staging does both arbitrarily, which is exactly
 //! what the locality-aware staging (in [`crate::local_grid`]) improves.
 
-use crate::line::{FirstParity, LineScratch};
+use crate::line::{FirstParity, LineRounds, LineScratch};
 use crate::product_route::{FactorRouter, PathFactor};
 use crate::schedule::{vertex_id, RoutingSchedule};
 use qroute_matching::{decompose_regular, BipartiteMultigraph, EdgeId, LabeledEdge};
@@ -46,7 +46,7 @@ impl LineStrategy {
         self,
         targets: &[usize],
         scratch: &'s mut LineScratch,
-    ) -> &'s [Vec<(usize, usize)>] {
+    ) -> LineRounds<'s> {
         match self {
             LineStrategy::EvenFirst => scratch.route(targets, FirstParity::Even),
             LineStrategy::BestParity => scratch.route_best(targets),
@@ -111,11 +111,12 @@ impl PassScratch {
                 }
                 next[k] += round.len();
                 rounds.push((k, round.len()));
-                staged.extend(
-                    round.iter().map(|&(a, b)| {
-                        (vertex_id(base + stride * a), vertex_id(base + stride * b))
-                    }),
-                );
+                staged.extend(round.iter().map(|&(a, b)| {
+                    (
+                        vertex_id(base + stride * a as usize),
+                        vertex_id(base + stride * b as usize),
+                    )
+                }));
             }
         }
         let mut end = swaps.len();

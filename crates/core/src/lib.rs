@@ -53,6 +53,8 @@ pub mod exact;
 #[cfg(test)]
 mod flat_reference;
 pub mod grid_route;
+#[cfg(test)]
+mod kernel_reference;
 pub mod line;
 pub mod local_grid;
 pub mod pathfinder;

@@ -9,8 +9,19 @@
 //! produce shallow line schedules, which is exactly how small `Δ` values
 //! turn into small depth.
 //!
-//! Layers are returned in *position space* (`(p, p+1)` pairs with
+//! The sort keeps a window `[lo, hi)` from the first to past the last
+//! misplaced position, and each round compares only the pairs inside it.
+//! A position left of `lo` holds its own index, so the values left of
+//! `lo` are exactly `0..lo`: every one of them is smaller than every value
+//! right of it, and no pair that touches the sorted prefix can swap
+//! again; the sorted suffix likewise. The window only shrinks, its ends
+//! move over each position once, and a round with no misplaced position
+//! left is never started — no per-round scan of the whole line.
+//!
+//! Rounds are returned in *position space* (`(p, p+1)` pairs with
 //! `0 <= p < L-1`); callers map positions to grid vertex ids.
+
+use std::borrow::Cow;
 
 /// Which edge parity the first round compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,17 +32,79 @@ pub enum FirstParity {
     Odd,
 }
 
-/// Recycled round storage: `rounds[..depth]` hold the current routing,
-/// later entries keep their capacity for the next routing.
+/// Rounds of disjoint swaps on a line, stored flat: round `k` is
+/// `swaps()[ends()[k - 1]..ends()[k]]` (from 0 for `k = 0`). Borrowed
+/// from a [`LineScratch`], or owned when a factor router maps them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineRounds<'a> {
+    swaps: Cow<'a, [(u32, u32)]>,
+    ends: Cow<'a, [usize]>,
+}
+
+impl<'a> LineRounds<'a> {
+    /// Owned rounds from every swap in order and each round's end offset.
+    ///
+    /// # Panics
+    /// Panics when the end offsets decrease or the last one is not
+    /// `swaps.len()`.
+    pub fn new(swaps: Vec<(u32, u32)>, ends: Vec<usize>) -> LineRounds<'static> {
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1])
+                && ends.last().copied().unwrap_or(0) == swaps.len(),
+            "round ends must rise to the swap count"
+        );
+        LineRounds { swaps: Cow::Owned(swaps), ends: Cow::Owned(ends) }
+    }
+
+    /// Number of rounds.
+    pub fn depth(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Every swap, round after round.
+    pub fn swaps(&self) -> &[(u32, u32)] {
+        &self.swaps
+    }
+
+    /// The end offset of every round in [`LineRounds::swaps`].
+    pub fn ends(&self) -> &[usize] {
+        &self.ends
+    }
+
+    /// The rounds in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(self.ends.iter().copied())
+            .map(|(from, to)| &self.swaps[from..to])
+    }
+
+    /// One vector of `usize` pairs per round.
+    pub fn to_vecs(&self) -> Vec<Vec<(usize, usize)>> {
+        self.iter()
+            .map(|round| {
+                round
+                    .iter()
+                    .map(|&(a, b)| (a as usize, b as usize))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Recycled round storage. `swaps` only grows: its first `ends.last()`
+/// entries hold the current routing, so a round can write a slot for
+/// every pair it compares and keep those that swapped.
 #[derive(Debug, Default)]
 struct RoundBuf {
-    rounds: Vec<Vec<(usize, usize)>>,
-    depth: usize,
+    swaps: Vec<(u32, u32)>,
+    ends: Vec<usize>,
 }
 
 impl RoundBuf {
-    fn as_slice(&self) -> &[Vec<(usize, usize)>] {
-        &self.rounds[..self.depth]
+    fn as_rounds(&self) -> LineRounds<'_> {
+        let used = self.ends.last().copied().unwrap_or(0);
+        LineRounds { swaps: Cow::Borrowed(&self.swaps[..used]), ends: Cow::Borrowed(&self.ends) }
     }
 }
 
@@ -40,8 +113,7 @@ impl RoundBuf {
 /// The 3-phase grid router routes `2n + m` lines per call (and twice that
 /// with the transpose trick); a shared scratch turns every one of those
 /// routings into zero fresh allocations once the buffers have warmed up.
-/// Results are returned as borrowed slices valid until the next routing
-/// call on the same scratch.
+/// Results borrow the scratch until its next routing call.
 #[derive(Debug, Default)]
 pub struct LineScratch {
     key: Vec<usize>,
@@ -57,14 +129,14 @@ impl LineScratch {
 
     /// Route `targets` starting with parity `first`; the rounds live in
     /// the scratch until the next routing call.
-    pub fn route(&mut self, targets: &[usize], first: FirstParity) -> &[Vec<(usize, usize)>] {
+    pub fn route(&mut self, targets: &[usize], first: FirstParity) -> LineRounds<'_> {
         route_into(targets, first, &mut self.key, &mut self.rounds);
-        self.rounds.as_slice()
+        self.rounds.as_rounds()
     }
 
     /// Route with both starting parities and keep the shallower schedule
     /// (ties prefer even-first, matching the deterministic baseline).
-    pub fn route_best(&mut self, targets: &[usize]) -> &[Vec<(usize, usize)>] {
+    pub fn route_best(&mut self, targets: &[usize]) -> LineRounds<'_> {
         route_into(targets, FirstParity::Even, &mut self.key, &mut self.rounds);
         route_into(
             targets,
@@ -72,10 +144,10 @@ impl LineScratch {
             &mut self.key,
             &mut self.rounds_alt,
         );
-        if self.rounds_alt.depth < self.rounds.depth {
-            self.rounds_alt.as_slice()
+        if self.rounds_alt.ends.len() < self.rounds.ends.len() {
+            self.rounds_alt.as_rounds()
         } else {
-            self.rounds.as_slice()
+            self.rounds.as_rounds()
         }
     }
 }
@@ -83,13 +155,17 @@ impl LineScratch {
 /// The odd–even transposition core, writing rounds into recycled buffers.
 fn route_into(targets: &[usize], first: FirstParity, key: &mut Vec<usize>, buf: &mut RoundBuf) {
     let l = targets.len();
+    assert!(
+        u32::try_from(l).is_ok(),
+        "a line of {l} positions overflows u32"
+    );
     debug_assert!({
         let mut seen = vec![false; l];
         targets
             .iter()
             .all(|&t| t < l && !std::mem::replace(&mut seen[t], true))
     });
-    buf.depth = 0;
+    buf.ends.clear();
     if l <= 1 {
         return;
     }
@@ -99,27 +175,45 @@ fn route_into(targets: &[usize], first: FirstParity, key: &mut Vec<usize>, buf: 
         FirstParity::Even => 0usize,
         FirstParity::Odd => 1usize,
     };
+    let (mut lo, mut hi) = (0, l);
+    let mut used = 0;
     // Odd-even transposition sort completes within l rounds; we allow one
     // extra slack round for the parity offset and assert completion.
     for _ in 0..=l {
-        if key.iter().enumerate().all(|(p, &k)| p == k) {
+        while lo < hi && key[lo] == lo {
+            lo += 1;
+        }
+        while lo < hi && key[hi - 1] == hi - 1 {
+            hi -= 1;
+        }
+        if lo == hi {
             break;
         }
-        if buf.depth == buf.rounds.len() {
-            buf.rounds.push(Vec::new());
+        // The round's pairs inside the window: `(p, p+1)` from the first
+        // `p >= lo` of the round's parity while `p + 1 < hi`.
+        let start = lo + ((lo ^ parity) & 1);
+        let pairs = (hi - start) / 2;
+        if buf.swaps.len() < used + pairs {
+            buf.swaps.resize(used + pairs, (0, 0));
         }
-        let round = &mut buf.rounds[buf.depth];
-        round.clear();
-        let mut p = parity;
-        while p + 1 < l {
-            if key[p] > key[p + 1] {
-                key.swap(p, p + 1);
-                round.push((p, p + 1));
-            }
-            p += 2;
+        let out = &mut buf.swaps[used..used + pairs];
+        let mut swapped = 0;
+        for (i, pair) in key[start..start + 2 * pairs]
+            .chunks_exact_mut(2)
+            .enumerate()
+        {
+            // Branch-free compare-exchange: the slot is always written
+            // and kept only when the pair swapped.
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a.min(b);
+            pair[1] = a.max(b);
+            let p = (start + 2 * i) as u32;
+            out[swapped] = (p, p + 1);
+            swapped += usize::from(a > b);
         }
-        if !round.is_empty() {
-            buf.depth += 1;
+        if swapped > 0 {
+            used += swapped;
+            buf.ends.push(used);
         }
         parity ^= 1;
     }
@@ -140,15 +234,13 @@ fn route_into(targets: &[usize], first: FirstParity, key: &mut Vec<usize>, buf: 
 /// # Panics
 /// Panics (debug) if `targets` is not a permutation of `0..L`.
 pub fn route_line(targets: &[usize], first: FirstParity) -> Vec<Vec<(usize, usize)>> {
-    let mut scratch = LineScratch::new();
-    scratch.route(targets, first).to_vec()
+    LineScratch::new().route(targets, first).to_vecs()
 }
 
 /// Route with both starting parities and keep the shallower schedule
 /// (ties prefer even-first, matching the deterministic baseline).
 pub fn route_line_best(targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
-    let mut scratch = LineScratch::new();
-    scratch.route_best(targets).to_vec()
+    LineScratch::new().route_best(targets).to_vecs()
 }
 
 /// Apply position-space rounds to a token array (test helper / verifier).
@@ -279,9 +371,13 @@ mod tests {
         ];
         for t in &cases {
             for first in [FirstParity::Even, FirstParity::Odd] {
-                assert_eq!(scratch.route(t, first), route_line(t, first), "{t:?}");
+                assert_eq!(
+                    scratch.route(t, first).to_vecs(),
+                    route_line(t, first),
+                    "{t:?}"
+                );
             }
-            assert_eq!(scratch.route_best(t), route_line_best(t), "{t:?}");
+            assert_eq!(scratch.route_best(t).to_vecs(), route_line_best(t), "{t:?}");
         }
     }
 

@@ -29,7 +29,9 @@ use crate::grid_route::{
 };
 use crate::product_route::FactorRouter;
 use crate::schedule::RoutingSchedule;
-use qroute_matching::{bottleneck_assignment, min_sum_assignment, BipartiteMultigraph, EdgeId};
+use qroute_matching::{
+    bottleneck_assignment, min_sum_assignment, BipartiteMultigraph, EdgeId, LabeledEdge,
+};
 use qroute_perm::Permutation;
 use qroute_topology::Grid;
 
@@ -101,36 +103,90 @@ impl LocalRouteOptions {
     }
 }
 
-/// Quick necessary condition for a band to contain a perfect matching:
-/// every left and every right column must be touched by at least one
-/// candidate edge. Avoids a Hopcroft–Karp run on hopeless bands (the
-/// common case while `w` is small).
-fn band_can_match(mg: &BipartiteMultigraph, band: &[EdgeId]) -> bool {
-    let n = mg.cols();
-    if band.len() < n {
-        return false;
+/// Per-column degree counts of the alive edges in the current row band.
+///
+/// A band can hold a perfect matching only when every left and every
+/// right column has an edge in it (which also makes at least `cols`
+/// edges); the counts answer that in O(1) and follow the band as it
+/// slides, so the sweep lists and extracts only the bands that pass.
+struct BandCover {
+    left: Vec<u32>,
+    right: Vec<u32>,
+    /// Columns of either side with no edge in the band.
+    uncovered: usize,
+}
+
+impl BandCover {
+    fn new(cols: usize) -> BandCover {
+        BandCover { left: vec![0; cols], right: vec![0; cols], uncovered: 2 * cols }
     }
-    let mut left = vec![false; n];
-    let mut right = vec![false; n];
-    let mut lc = 0;
-    let mut rc = 0;
-    for &id in band {
-        let e = mg.edge(id);
-        if !left[e.left] {
-            left[e.left] = true;
-            lc += 1;
-        }
-        if !right[e.right] {
-            right[e.right] = true;
-            rc += 1;
+
+    fn covers_all(&self) -> bool {
+        self.uncovered == 0
+    }
+
+    fn add(&mut self, e: LabeledEdge) {
+        for count in [&mut self.left[e.left], &mut self.right[e.right]] {
+            self.uncovered -= usize::from(*count == 0);
+            *count += 1;
         }
     }
-    lc == n && rc == n
+
+    fn sub(&mut self, e: LabeledEdge) {
+        for count in [&mut self.left[e.left], &mut self.right[e.right]] {
+            *count -= 1;
+            self.uncovered += usize::from(*count == 0);
+        }
+    }
+
+    /// A row enters the band: add its alive edges.
+    fn enter(&mut self, mg: &BipartiteMultigraph, row: &[EdgeId]) {
+        for &id in row.iter().filter(|&&id| mg.is_alive(id)) {
+            self.add(mg.edge(id));
+        }
+    }
+
+    /// A row leaves the band: subtract its alive edges.
+    fn leave(&mut self, mg: &BipartiteMultigraph, row: &[EdgeId]) {
+        for &id in row.iter().filter(|&&id| mg.is_alive(id)) {
+            self.sub(mg.edge(id));
+        }
+    }
+}
+
+/// Edge ids grouped by source row, ascending within each row: row `x`
+/// is `ids[start[x]..start[x + 1]]`. Rows past `rows` are dropped; no
+/// band reaches them.
+fn bucket_rows(mg: &BipartiteMultigraph, rows: usize) -> (Vec<usize>, Vec<EdgeId>) {
+    let mut start = vec![0usize; rows + 1];
+    let src = |id: EdgeId| mg.edge(id).src_row;
+    for id in (0..mg.num_edges()).filter(|&id| src(id) < rows) {
+        start[src(id) + 1] += 1;
+    }
+    for x in 0..rows {
+        start[x + 1] += start[x];
+    }
+    let mut ids = vec![0; start[rows]];
+    let mut fill = start.clone();
+    for id in (0..mg.num_edges()).filter(|&id| src(id) < rows) {
+        ids[fill[src(id)]] = id;
+        fill[src(id)] += 1;
+    }
+    (start, ids)
 }
 
 /// Lines 3–18 of Algorithm 2: find `m` edge-disjoint perfect matchings of
 /// the column multigraph by doubling window search. Consumes the edges of
 /// `mg`; returns the matchings as edge-id vectors in discovery order.
+///
+/// For each width the band `[r, r+w]` slides down one row at a time
+/// under per-column degree counts of its alive edges: the leaving row is
+/// subtracted and the entering row added only after the band has been
+/// tested, and every extracted matching is subtracted as it leaves the
+/// graph. A band is listed and extracted only when it covers every
+/// column — exactly the bands that have at least `cols` edges and touch
+/// every left and right column — so a width costs O(edges) plus the
+/// bands that can match.
 pub fn find_local_matchings(
     grid: Grid,
     mg: &mut BipartiteMultigraph,
@@ -146,6 +202,8 @@ pub fn find_local_matchings(
         return found;
     }
 
+    let (start, ids) = bucket_rows(mg, m);
+    let row = |x: usize| &ids[start[x]..start[x + 1]];
     let mut w = 0usize;
     while found.len() < m {
         // One cooperative cancellation probe per window doubling.
@@ -156,13 +214,25 @@ pub fn find_local_matchings(
         // permutations it proposes [0,2],[3,5],… and [0,4],[5,9],… but
         // never [0,3],[4,7],…), which strands edges until the full-width
         // sweeps and produces wide, non-local matchings. Overlapping
-        // starts cost extra `band_can_match` probes (cheap, and most
-        // windows fail it) but let every aligned row band be tried.
+        // starts cost extra coverage tests (O(1) each, and most windows
+        // fail them) but let every aligned row band be tried.
+        let mut cover = BandCover::new(mg.cols());
+        for x in 0..=w.min(m - 1) {
+            cover.enter(mg, row(x));
+        }
         for r in 0..m {
-            let hi = (r + w).min(m - 1);
-            let band = mg.band_edges((r, hi));
-            if band_can_match(mg, &band) {
-                found.extend(mg.extract_perfect_matchings(&band));
+            if cover.covers_all() {
+                let band = mg.band_edges((r, (r + w).min(m - 1)));
+                for matching in mg.extract_perfect_matchings(&band) {
+                    for &id in &matching {
+                        cover.sub(mg.edge(id));
+                    }
+                    found.push(matching);
+                }
+            }
+            cover.leave(mg, row(r));
+            if r + w + 1 < m {
+                cover.enter(mg, row(r + w + 1));
             }
         }
         // Once the window covers all rows the remaining graph is regular,
@@ -190,63 +260,72 @@ pub fn find_local_matchings(
 /// point, pulling every matching toward one compact row band and therefore
 /// lowering the `Δ` its staging row must pay.
 fn rebalance_parallel_edges(mg: &BipartiteMultigraph, matchings: &mut [Vec<EdgeId>]) {
-    use std::collections::HashMap;
-
     /// Slots `(matching index, position)` sharing a `(left, right)` column
-    /// pair, plus the interchangeable edge ids currently filling them.
+    /// pair, plus the interchangeable edge ids filling them, in the row
+    /// order in which they are handed out.
     type ParallelClass = (Vec<(usize, usize)>, Vec<EdgeId>);
 
-    // Parallel classes: all extracted edges grouped by (left, right).
-    let mut classes: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+    // Parallel classes: all extracted edges grouped by (left, right), in
+    // the order of their first slot. Slots are visited in order, so a
+    // class is numbered when its first slot is seen.
+    let n = mg.cols();
+    let mut class_of = vec![usize::MAX; n * n];
+    let mut classes: Vec<ParallelClass> = Vec::new();
     for (k, matching) in matchings.iter().enumerate() {
         for (pos, &id) in matching.iter().enumerate() {
             let e = mg.edge(id);
-            classes.entry((e.left, e.right)).or_default().push((k, pos));
+            let class = &mut class_of[e.left * n + e.right];
+            if *class == usize::MAX {
+                *class = classes.len();
+                classes.push(Default::default());
+            }
+            let (users, ids) = &mut classes[*class];
+            users.push((k, pos));
+            ids.push(id);
         }
     }
-    let mut classes: Vec<ParallelClass> = {
-        let mut v: Vec<_> = classes.into_values().collect();
-        // Deterministic processing order.
-        v.sort_unstable_by_key(|users| users[0]);
-        v.into_iter()
-            .map(|users| {
-                let ids = users.iter().map(|&(k, pos)| matchings[k][pos]).collect();
-                (users, ids)
-            })
-            .collect()
-    };
+    // A class's edge ids never change, only which slot holds each; a
+    // class of one has nothing to hand out.
+    classes.retain(|(_, ids)| ids.len() >= 2);
+    for (_, ids) in &mut classes {
+        ids.sort_unstable_by_key(|&id| {
+            let e = mg.edge(id);
+            (e.src_row + e.dst_row, id)
+        });
+    }
 
-    let median = |rows: &mut Vec<usize>| -> usize {
-        rows.sort_unstable();
-        rows[rows.len() / 2]
-    };
-    let center_of = |matching: &[EdgeId]| -> usize {
-        let mut rows: Vec<usize> = matching
+    // A matching's center is the upper median of its source and
+    // destination rows, which all lie below the row count
+    // `matchings.len()`: the first row at which the running count of a
+    // row histogram passes half of the `2·len` rows.
+    let mut counts = vec![0usize; matchings.len()];
+    let mut center_of = |matching: &[EdgeId]| -> usize {
+        counts.fill(0);
+        for &id in matching {
+            let e = mg.edge(id);
+            counts[e.src_row] += 1;
+            counts[e.dst_row] += 1;
+        }
+        let mut seen = 0;
+        counts
             .iter()
-            .flat_map(|&id| {
-                let e = mg.edge(id);
-                [e.src_row, e.dst_row]
+            .position(|&c| {
+                seen += c;
+                seen > matching.len()
             })
-            .collect();
-        median(&mut rows)
+            .expect("a matching has rows")
     };
 
+    let mut by_center = Vec::new();
     for _ in 0..8 {
         let centers: Vec<usize> = matchings.iter().map(|m| center_of(m)).collect();
         let mut changed = false;
-        for (users, ids) in &mut classes {
-            if ids.len() < 2 {
-                continue;
-            }
+        for (users, ids) in &classes {
             // Monotone pairing: class rows in row order against user
             // matchings in center order.
-            let mut by_center: Vec<(usize, usize)> = users.clone();
+            by_center.clone_from(users);
             by_center.sort_unstable_by_key(|&(k, _)| (centers[k], k));
-            ids.sort_unstable_by_key(|&id| {
-                let e = mg.edge(id);
-                (e.src_row + e.dst_row, id)
-            });
-            for (&(k, pos), &id) in by_center.iter().zip(ids.iter()) {
+            for (&(k, pos), &id) in by_center.iter().zip(ids) {
                 if matchings[k][pos] != id {
                     matchings[k][pos] = id;
                     changed = true;
@@ -262,21 +341,11 @@ fn rebalance_parallel_edges(mg: &BipartiteMultigraph, matchings: &mut [Vec<EdgeI
 /// The locality metric of §IV-A: `Δ(M, r) = Σ_j |i_j − r| + Σ_j |i'_j − r|`
 /// over the edges (qubits) of matching `M`.
 pub fn delta_metric(mg: &BipartiteMultigraph, matching: &[EdgeId], row: usize) -> u64 {
-    delta_in(mg, matching, row, &usize::abs_diff)
-}
-
-/// `Δ(M, r)` with `|i − r|` replaced by the column factor's distance.
-fn delta_in(
-    mg: &BipartiteMultigraph,
-    matching: &[EdgeId],
-    row: usize,
-    dist: &impl Fn(usize, usize) -> usize,
-) -> u64 {
     matching
         .iter()
         .map(|&id| {
             let e = mg.edge(id);
-            (dist(e.src_row, row) + dist(e.dst_row, row)) as u64
+            (e.src_row.abs_diff(row) + e.dst_row.abs_diff(row)) as u64
         })
         .sum()
 }
@@ -293,9 +362,31 @@ fn assign_rows(
     if assignment == AssignmentStrategy::InOrder {
         return (0..m).collect();
     }
+    // `Δ(M, r)` is the sum over M's distinct rows `x` of
+    // `count(x)·dist(x, r)`: one row histogram per matching instead of a
+    // pass over its edges per row.
+    let mut counts = vec![0u64; m];
+    let mut rows = Vec::new();
     let weights: Vec<Vec<u64>> = matchings
         .iter()
-        .map(|mt| (0..m).map(|r| delta_in(mg, mt, r, &dist)).collect())
+        .map(|mt| {
+            for &id in mt {
+                let e = mg.edge(id);
+                for x in [e.src_row, e.dst_row] {
+                    if counts[x] == 0 {
+                        rows.push(x);
+                    }
+                    counts[x] += 1;
+                }
+            }
+            let delta = (0..m)
+                .map(|r| rows.iter().map(|&x| counts[x] * dist(x, r) as u64).sum())
+                .collect();
+            for x in rows.drain(..) {
+                counts[x] = 0;
+            }
+            delta
+        })
         .collect();
     let cap = match assignment {
         AssignmentStrategy::Bottleneck => {
@@ -337,10 +428,17 @@ impl Staging for LocalRouteOptions {
     /// Algorithm 2's staging on `F1 □ F2`: locality-aware matchings and
     /// row assignment by `Δ` in `F1`'s distance.
     fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation) -> Vec<Vec<usize>> {
+        use qroute_obs::trace::span;
         let mut mg = build_column_multigraph(shape, pi);
-        let mut matchings = find_local_matchings(shape, &mut mg, self.window);
-        rebalance_parallel_edges(&mg, &mut matchings);
-        let row_of = assign_rows(&mg, &matchings, self.assignment, |u, v| f1.dist(u, v));
+        let mut matchings = span("locality.window_search", || {
+            find_local_matchings(shape, &mut mg, self.window)
+        });
+        span("locality.rebalance", || {
+            rebalance_parallel_edges(&mg, &mut matchings)
+        });
+        let row_of = span("locality.assign", || {
+            assign_rows(&mg, &matchings, self.assignment, |u, v| f1.dist(u, v))
+        });
         sigmas_from(shape, &mg, &matchings, &row_of)
     }
 

@@ -15,12 +15,11 @@
 //! when the factors are path-like.
 
 use crate::grid_route::{algorithm1, LineStrategy};
-use crate::line::LineScratch;
+use crate::line::{LineRounds, LineScratch};
 use crate::local_grid::LocalRouteOptions;
 use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
 use qroute_topology::{Cycle, Grid, Path, Product};
-use std::borrow::Cow;
 
 /// A permutation router for a one-dimensional factor graph.
 pub trait FactorRouter {
@@ -41,7 +40,7 @@ pub trait FactorRouter {
         targets: &[usize],
         strategy: LineStrategy,
         scratch: &'s mut LineScratch,
-    ) -> Cow<'s, [Vec<(usize, usize)>]>;
+    ) -> LineRounds<'s>;
 }
 
 /// Path factor routed by odd–even transposition.
@@ -60,8 +59,8 @@ impl FactorRouter for PathFactor {
         targets: &[usize],
         strategy: LineStrategy,
         scratch: &'s mut LineScratch,
-    ) -> Cow<'s, [Vec<(usize, usize)>]> {
-        Cow::Borrowed(strategy.route(targets, scratch))
+    ) -> LineRounds<'s> {
+        strategy.route(targets, scratch)
     }
 }
 
@@ -83,29 +82,28 @@ impl CycleFactor {
         cut: usize,
         strategy: LineStrategy,
         scratch: &mut LineScratch,
-    ) -> Vec<Vec<(usize, usize)>> {
+    ) -> LineRounds<'static> {
         let n = self.0.len();
         // Path order after cutting (c, c+1): c+1, c+2, …, c.
         let start = (cut + 1) % n;
         let to_path = |v: usize| (v + n - start) % n;
-        let to_cycle = |p: usize| (p + start) % n;
+        let to_cycle = |p: u32| ((p as usize + start) % n) as u32;
         let mut path_targets = vec![0usize; n];
         for v in 0..n {
             path_targets[to_path(v)] = to_path(targets[v]);
         }
-        strategy
-            .route(&path_targets, scratch)
-            .iter()
-            .map(|round| {
-                round
-                    .iter()
-                    .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
-                    .collect()
-            })
-            .collect()
+        let rounds = strategy.route(&path_targets, scratch);
+        LineRounds::new(
+            rounds
+                .swaps()
+                .iter()
+                .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
+                .collect(),
+            rounds.ends().to_vec(),
+        )
     }
 
-    fn least_crossed_cut(&self, targets: &[usize]) -> usize {
+    pub(crate) fn least_crossed_cut(&self, targets: &[usize]) -> usize {
         let n = self.0.len();
         let mut crossings = vec![0usize; n]; // edge e = (e, e+1 mod n)
         for (v, &t) in targets.iter().enumerate() {
@@ -148,14 +146,18 @@ impl FactorRouter for CycleFactor {
         targets: &[usize],
         strategy: LineStrategy,
         scratch: &'s mut LineScratch,
-    ) -> Cow<'s, [Vec<(usize, usize)>]> {
+    ) -> LineRounds<'s> {
         let best_cut = self.least_crossed_cut(targets);
         let a = self.route_with_cut(targets, best_cut, strategy, scratch);
         if best_cut == self.len() - 1 {
-            return Cow::Owned(a);
+            return a;
         }
         let b = self.route_with_cut(targets, self.len() - 1, strategy, scratch);
-        Cow::Owned(if b.len() < a.len() { b } else { a })
+        if b.depth() < a.depth() {
+            b
+        } else {
+            a
+        }
     }
 }
 
@@ -190,7 +192,7 @@ mod tests {
 
     fn route(f: &CycleFactor, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
         f.route_line(targets, LineStrategy::BestParity, &mut LineScratch::new())
-            .into_owned()
+            .to_vecs()
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `O(m + n)` layers. Included as a baseline and as a fallback that works
 //! on any grid without matching machinery.
 
-use crate::line::route_line_best;
+use crate::line::LineScratch;
 use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
 use qroute_topology::Grid;
@@ -42,12 +42,13 @@ pub fn snake_route(grid: Grid, pi: &Permutation) -> RoutingSchedule {
     }
     // Token at snake position p must reach position pos[π(order[p])].
     let targets: Vec<usize> = order.iter().map(|&v| pos[pi.apply(v)]).collect();
-    let rounds = route_line_best(&targets);
-    RoutingSchedule::from_layers(
-        rounds
+    let mut scratch = LineScratch::new();
+    let rounds = scratch.route_best(&targets);
+    RoutingSchedule::from_layers(rounds.iter().map(|round| {
+        round
             .iter()
-            .map(|round| round.iter().map(|&(a, b)| (order[a], order[b]))),
-    )
+            .map(|&(a, b)| (order[a as usize], order[b as usize]))
+    }))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! shared CI hardware are not.
 
 use qroute_core::{GridRouter, RouterKind};
-use qroute_obs::trace::{with_subscriber, CountingSubscriber, Subscriber};
+use qroute_obs::trace::{with_subscriber, CountingSubscriber, MemorySubscriber, Subscriber};
 use qroute_perm::generators;
 use qroute_topology::Topology;
 use std::sync::Arc;
@@ -22,15 +22,30 @@ fn disarmed_route_performs_zero_subscriber_calls() {
     ] {
         // A: armed. The route must dispatch records — otherwise the B
         // half would pass vacuously on an uninstrumented router.
-        let armed = Arc::new(CountingSubscriber::new());
+        let armed = Arc::new(MemorySubscriber::new());
         let armed_schedule = with_subscriber(Arc::clone(&armed) as Arc<dyn Subscriber>, || {
             router.route_on(&topology, &pi).unwrap()
         });
+        let records = armed.lines();
         assert!(
-            armed.calls() > 0,
+            !records.is_empty(),
             "{} emitted no trace records while armed",
             router.label()
         );
+        // The locality-aware staging times its own stages.
+        if router.label() == "locality-aware" {
+            for stage in [
+                "locality.window_search",
+                "locality.rebalance",
+                "locality.assign",
+            ] {
+                let name = format!("{{\"name\":\"{stage}\"");
+                assert!(
+                    records.iter().any(|record| record.starts_with(&name)),
+                    "no {stage} span while armed"
+                );
+            }
+        }
 
         // B: disarmed. The counter is alive but not installed; had the
         // route consulted any subscriber slot it could only have found

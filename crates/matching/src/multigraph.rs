@@ -40,6 +40,25 @@ pub struct BipartiteMultigraph {
     /// visits only the band's rows. `None` once an edge arrives out of
     /// row order.
     row_runs: Option<Vec<(usize, EdgeId)>>,
+    /// Buffers of [`BipartiteMultigraph::extract_perfect_matchings`],
+    /// kept between calls so that the many extractions of one window
+    /// sweep allocate nothing once warm.
+    peel: PeelScratch,
+}
+
+/// The index buffers of one extraction (see
+/// [`BipartiteMultigraph::extract_perfect_matchings`] for their roles).
+#[derive(Debug, Clone, Default)]
+struct PeelScratch {
+    listed: Vec<EdgeId>,
+    start: Vec<usize>,
+    by_left: Vec<usize>,
+    fill: Vec<usize>,
+    next: Vec<usize>,
+    adj: Vec<Vec<u32>>,
+    heads: Vec<Vec<usize>>,
+    tail: Vec<usize>,
+    right_pairs: Vec<usize>,
 }
 
 /// A snapshot of a multigraph's alive-edge set.
@@ -65,6 +84,7 @@ impl BipartiteMultigraph {
             alive: Vec::new(),
             num_alive: 0,
             row_runs: Some(Vec::new()),
+            peel: PeelScratch::default(),
         }
     }
 
@@ -210,29 +230,41 @@ impl BipartiteMultigraph {
     /// a peel removes only the `cols` matched representatives, so only
     /// those pairs advance to their next alive edge and move within their
     /// left vertex's list.
+    ///
+    /// Every left and right column keeps its *pair degree*, the number of
+    /// pairs it still has. A column with no pair admits no perfect
+    /// matching, so once one appears the extraction ends without the
+    /// Hopcroft–Karp run that could only have come back imperfect.
     pub fn extract_perfect_matchings(&mut self, candidate: &[EdgeId]) -> Vec<Vec<EdgeId>> {
+        let mut peel = std::mem::take(&mut self.peel);
+        let out = self.extract_with(candidate, &mut peel);
+        self.peel = peel;
+        out
+    }
+
+    fn extract_with(&mut self, candidate: &[EdgeId], peel: &mut PeelScratch) -> Vec<Vec<EdgeId>> {
         const END: usize = usize::MAX;
         let n = self.cols;
         let mut out = Vec::new();
         if n == 0 {
             return out;
         }
+        let PeelScratch { listed, start, by_left, fill, next, adj, heads, tail, right_pairs } =
+            peel;
         // Alive candidates in candidate order; a "position" indexes this.
-        let listed: Vec<EdgeId> = candidate
-            .iter()
-            .copied()
-            .filter(|&id| self.alive[id])
-            .collect();
+        listed.clear();
+        listed.extend(candidate.iter().copied().filter(|&id| self.alive[id]));
         // Positions grouped by left column, ascending within each group.
-        let mut start = vec![0usize; n + 1];
-        for &id in &listed {
+        start.clear();
+        start.resize(n + 1, 0);
+        for &id in listed.iter() {
             start[self.edges[id].left + 1] += 1;
         }
         for l in 0..n {
             start[l + 1] += start[l];
         }
-        let mut by_left = vec![0usize; listed.len()];
-        let mut fill = start.clone();
+        by_left.resize(listed.len(), 0);
+        fill.clone_from(start);
         for (pos, &id) in listed.iter().enumerate() {
             let l = self.edges[id].left;
             by_left[fill[l]] = pos;
@@ -243,11 +275,15 @@ impl BipartiteMultigraph {
         // representative positions, which `heads[l]` holds alongside.
         // While left `l` is listed, `tail[r]` is the last position seen
         // of pair `(l, r)`.
-        let mut next = vec![END; listed.len()];
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut heads: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut tail = vec![END; n];
+        next.clear();
+        next.resize(listed.len(), END);
+        adj.resize_with(n, Vec::new);
+        heads.resize_with(n, Vec::new);
+        tail.clear();
+        tail.resize(n, END);
         for l in 0..n {
+            adj[l].clear();
+            heads[l].clear();
             for &pos in &by_left[start[l]..start[l + 1]] {
                 let r = self.edges[listed[pos]].right;
                 if tail[r] == END {
@@ -262,8 +298,18 @@ impl BipartiteMultigraph {
                 tail[r as usize] = END;
             }
         }
-        loop {
-            let m: Matching = hopcroft_karp(n, n, &adj);
+        // `right_pairs[r]` is the pair degree of right column `r` (a left
+        // column's is `adj[l].len()`); `bare` counts columns of either
+        // side whose pair degree is 0.
+        right_pairs.clear();
+        right_pairs.resize(n, 0);
+        for &r in adj.iter().flatten() {
+            right_pairs[r as usize] += 1;
+        }
+        let mut bare = adj.iter().filter(|rights| rights.is_empty()).count()
+            + right_pairs.iter().filter(|&&d| d == 0).count();
+        while bare == 0 {
+            let m: Matching = hopcroft_karp(n, n, adj);
             if !m.is_perfect() {
                 break;
             }
@@ -288,6 +334,11 @@ impl BipartiteMultigraph {
                     let k = heads[l].partition_point(|&h| h < pos);
                     heads[l].insert(k, pos);
                     adj[l].insert(k, r as u32);
+                } else {
+                    // The pair is used up.
+                    bare += usize::from(adj[l].is_empty());
+                    right_pairs[r] -= 1;
+                    bare += usize::from(right_pairs[r] == 0);
                 }
             }
             out.push(matching_ids);
