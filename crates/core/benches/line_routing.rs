@@ -6,11 +6,14 @@
 //! `line_routing` routes batches of such lines through one reusable
 //! [`LineScratch`]; `three_phase` times one whole pass
 //! (`grid_route_with_sigmas`) with the naive staging on `random` and
-//! `block4` grid instances.
+//! `block4` grid instances; `grid_routers` times the three 3-phase
+//! routers end to end on the same classes, from side 8, where staging
+//! and fixed costs dominate, to side 128.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qroute_core::grid_route::{build_column_multigraph, grid_route_with_sigmas, LineStrategy};
 use qroute_core::line::LineScratch;
+use qroute_core::{GridRouter, RouterKind};
 use qroute_matching::decompose_regular;
 use qroute_perm::generators;
 use qroute_topology::Grid;
@@ -110,5 +113,38 @@ fn bench_three_phase(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_line_routing, bench_three_phase);
+fn bench_grid_routers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("grid_routers");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(600));
+
+    for side in [8usize, 16, 64, 128] {
+        let grid = Grid::new(side, side);
+        for (class, pi) in [
+            ("random", generators::random(grid.len(), 5)),
+            ("block4", generators::block_local(grid, 4, 4, 5)),
+        ] {
+            for router in [
+                RouterKind::locality_aware(),
+                RouterKind::naive(),
+                RouterKind::hybrid(),
+            ] {
+                let id = BenchmarkId::new(format!("{}/{class}", router.label()), side);
+                group.bench_with_input(id, &(), |b, ()| {
+                    b.iter(|| black_box(router.route(grid, black_box(&pi)).depth()))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_line_routing,
+    bench_three_phase,
+    bench_grid_routers
+);
 criterion_main!(benches);

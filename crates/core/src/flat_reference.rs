@@ -2,10 +2,11 @@
 //! of the per-layer schedule code it replaced — the layer type, the 3-phase
 //! assembly, the transpose retry, `compact_swaps` and `relabeled` — run
 //! every router's pipeline beside the real one, and every schedule must
-//! match swap for swap, in the same order within each layer.
+//! match swap for swap, in the same order within each layer. Their lines
+//! are routed one at a time by [`LineScratch`].
 
 use crate::grid_route::{path_factors, LineStrategy, NaiveOptions, Staging};
-use crate::line::{route_line_best, LineRounds, LineScratch};
+use crate::line::{route_line_best, FirstParity, LineScratch};
 use crate::local_grid::LocalRouteOptions;
 use crate::pathfinder::pathfinder_swaps;
 use crate::product_route::{product_route, FactorRouter, PathFactor};
@@ -99,8 +100,7 @@ impl LayeredSchedule {
     }
 }
 
-fn route_parallel_lines<F: FactorRouter>(
-    factor: &F,
+fn route_parallel_lines(
     targets: &[Vec<usize>],
     (step, stride): (usize, usize),
     strategy: LineStrategy,
@@ -109,7 +109,10 @@ fn route_parallel_lines<F: FactorRouter>(
     let mut layers: Vec<SwapLayer> = Vec::new();
     for (c, line) in targets.iter().enumerate() {
         let base = c * step;
-        let rounds = factor.route_line(line, strategy, scratch);
+        let rounds = match strategy {
+            LineStrategy::EvenFirst => scratch.route(line, FirstParity::Even),
+            LineStrategy::BestParity => scratch.route_best(line),
+        };
         for (k, round) in rounds.iter().enumerate() {
             if k == layers.len() {
                 layers.push(SwapLayer::default());
@@ -124,10 +127,8 @@ fn route_parallel_lines<F: FactorRouter>(
     LayeredSchedule::from_layers(layers)
 }
 
-fn route_phases<A: FactorRouter, B: FactorRouter>(
+fn route_phases(
     shape: Grid,
-    f1: &A,
-    f2: &B,
     pi: &Permutation,
     sigmas: &[Vec<usize>],
     strategy: LineStrategy,
@@ -144,9 +145,9 @@ fn route_phases<A: FactorRouter, B: FactorRouter>(
         }
     }
     let mut scratch = LineScratch::new();
-    let phase1 = route_parallel_lines(f1, sigmas, (1, n), strategy, &mut scratch);
-    let phase2 = route_parallel_lines(f2, &row_targets, (n, 1), strategy, &mut scratch);
-    let phase3 = route_parallel_lines(f1, &col_targets, (1, n), strategy, &mut scratch);
+    let phase1 = route_parallel_lines(sigmas, (1, n), strategy, &mut scratch);
+    let phase2 = route_parallel_lines(&row_targets, (n, 1), strategy, &mut scratch);
+    let phase3 = route_parallel_lines(&col_targets, (1, n), strategy, &mut scratch);
     let mut schedule = LayeredSchedule::empty();
     for phase in [phase1, phase2, phase3] {
         schedule.extend(phase);
@@ -176,23 +177,9 @@ fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
 ) -> LayeredSchedule {
     let once = |shape: Grid, pi: &Permutation, flip: bool| {
         if flip {
-            route_phases(
-                shape,
-                f2,
-                f1,
-                pi,
-                &staging.sigmas(shape, f2, pi),
-                staging.line(),
-            )
+            route_phases(shape, pi, &staging.sigmas(shape, f2, pi), staging.line())
         } else {
-            route_phases(
-                shape,
-                f1,
-                f2,
-                pi,
-                &staging.sigmas(shape, f1, pi),
-                staging.line(),
-            )
+            route_phases(shape, pi, &staging.sigmas(shape, f1, pi), staging.line())
         }
     };
     let mut best = once(shape, pi, false);
@@ -312,36 +299,9 @@ fn classes(grid: Grid, seed: u64) -> [(&'static str, Permutation); 5] {
     ]
 }
 
-/// A path factor whose every line starts with an empty round: each phase
-/// then begins with an empty layer, which a pass must drop, as the old
-/// layer-by-layer append did.
-struct EmptyFirstRound(PathFactor);
-
-impl FactorRouter for EmptyFirstRound {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn dist(&self, u: usize, v: usize) -> usize {
-        self.0.dist(u, v)
-    }
-
-    fn route_line<'s>(
-        &self,
-        targets: &[usize],
-        strategy: LineStrategy,
-        scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
-        let rounds = self.0.route_line(targets, strategy, scratch);
-        let ends = std::iter::once(0).chain(rounds.ends().iter().copied());
-        LineRounds::new(rounds.swaps().to_vec(), ends.collect())
-    }
-}
-
 /// Every router of `RouterKind::all_default()` on grids from 1×9 to 20×13,
 /// five classes and three seeds, each schedule also replayed through the
-/// eight grid symmetries; plus Algorithm 1 on path products whose factor
-/// router returns an empty round, which a pass must drop.
+/// eight grid symmetries; plus Algorithm 1 on path products.
 #[test]
 fn flat_schedules_match_reference() {
     let shapes = [
@@ -384,13 +344,13 @@ fn flat_schedules_match_reference() {
 
     for (m, n) in [(3, 7), (8, 8), (11, 5)] {
         let product = Product::new(Path::new(m).to_graph(), Path::new(n).to_graph());
-        let f1 = EmptyFirstRound(PathFactor(Path::new(m)));
-        let f2 = EmptyFirstRound(PathFactor(Path::new(n)));
+        let f1 = PathFactor(Path::new(m));
+        let f2 = PathFactor(Path::new(n));
         let shape = Grid::new(m, n);
         for seed in 0..3 {
             for (class, pi) in classes(shape, seed) {
                 for opts in [LocalRouteOptions::default(), LocalRouteOptions::paper()] {
-                    let at = format!("empty rounds {m}x{n} {class} seed {seed} {opts:?}");
+                    let at = format!("path product {m}x{n} {class} seed {seed} {opts:?}");
                     let flat = product_route(&product, &f1, &f2, &pi, &opts);
                     let reference = algorithm1(
                         shape,

@@ -21,10 +21,35 @@
 //! `G[1,m]` into `m` perfect matchings plus an assignment of matchings to
 //! staging rows. The naive staging does both arbitrarily, which is exactly
 //! what the locality-aware staging (in [`crate::local_grid`]) improves.
+//!
+//! A route is decided from counts and laid out once:
+//!
+//! 1. **Count.** Every line of a candidate pass is planned depth-only
+//!    by its factor router ([`FactorRouter::plan`]): where its path
+//!    starts, its first parity, its depth and its swap count. A phase is
+//!    as deep as its deepest line, and a pass's depth and size are sums.
+//! 2. **Decide.** Algorithm 1 keeps the transposed pass only when it is
+//!    strictly shallower; `hybrid` compares compacted depths, each from
+//!    an ASAP walk that streams the pass's swaps without storing them.
+//! 3. **Emit.** The one returned pass runs its lines again, each phase
+//!    in lockstep: step `k` advances every line by its `k`-th non-empty
+//!    round, lines in order, positions ascending. That is the pass's
+//!    sequence order — phase, layer, line, position — so the walk writes
+//!    the uncompacted layers as they close, or places each swap at its
+//!    ASAP layer's cursor in an exact-sized buffer. A swap's ASAP layer
+//!    depends only on earlier swaps at its endpoints, and the lines of a
+//!    phase are vertex-disjoint, so any walk that keeps phase order gives
+//!    every swap the same layer; the placing walk must be the lockstep
+//!    one, because it also fixes the order within each layer.
+//!
+//! A pass counted on the transposed layout writes the instance's own
+//! vertex ids: a column of the transposed layout is a row of the
+//! instance, and a row of it is a column. No losing pass, staged phase or
+//! relabeling pass is ever laid out.
 
-use crate::line::{FirstParity, LineRounds, LineScratch};
+use crate::line::{FirstParity, LineCost, LinePlan, LineScratch};
 use crate::product_route::{FactorRouter, PathFactor};
-use crate::schedule::{vertex_id, RoutingSchedule};
+use crate::schedule::{vertex_id, Asap, LayerFill, RoutingSchedule};
 use qroute_matching::{decompose_regular, BipartiteMultigraph, EdgeId, LabeledEdge};
 use qroute_perm::Permutation;
 use qroute_topology::{Grid, Path};
@@ -40,110 +65,232 @@ pub enum LineStrategy {
 }
 
 impl LineStrategy {
-    /// Route one path permutation with this strategy; the rounds live in
-    /// `scratch` until its next routing call.
-    pub(crate) fn route<'s>(
+    /// Plan a line whose positions start at factor vertex `start`:
+    /// even-first, or the shallower first parity. `None` when the plan is
+    /// not strictly shallower than `cap`.
+    pub(crate) fn plan_below(
         self,
         targets: &[usize],
-        scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
+        start: usize,
+        cap: usize,
+        scratch: &mut LineScratch,
+    ) -> Option<(LinePlan, LineCost)> {
         match self {
-            LineStrategy::EvenFirst => scratch.route(targets, FirstParity::Even),
-            LineStrategy::BestParity => scratch.route_best(targets),
+            LineStrategy::EvenFirst => {
+                let plan = LinePlan { start, first: FirstParity::Even };
+                scratch
+                    .count_below(targets, plan, cap)
+                    .map(|cost| (plan, cost))
+            }
+            LineStrategy::BestParity => scratch.best_below(targets, start, cap),
         }
+    }
+
+    /// [`LineStrategy::plan_below`] without a cap.
+    pub(crate) fn plan(
+        self,
+        targets: &[usize],
+        start: usize,
+        scratch: &mut LineScratch,
+    ) -> (LinePlan, LineCost) {
+        self.plan_below(targets, start, usize::MAX, scratch)
+            .expect("no line is deeper than usize::MAX")
     }
 }
 
-/// A 3-phase pass under construction, plus its scratch: the line router's
-/// buffers and one staged phase. Algorithm 1 routes both of its passes
-/// through one `PassScratch`, so the second pass stages in memory the
-/// first one already holds.
+/// The buffers one route's counting and emission walks share.
 #[derive(Debug, Default)]
-pub(crate) struct PassScratch {
-    /// The pass's swaps so far, layer after layer.
-    swaps: Vec<(u32, u32)>,
-    /// End offset of every layer in `swaps`.
-    ends: Vec<usize>,
-    line: LineScratch,
-    /// The current phase's swaps, line after line, each line's rounds in
-    /// order.
-    staged: Vec<(u32, u32)>,
-    /// `(round index, swap count)` of every staged round, in staging order.
-    rounds: Vec<(usize, usize)>,
-    /// Per phase layer: its swap count, then its write cursor.
-    next: Vec<usize>,
+pub(crate) struct RouteScratch {
+    lines: LineScratch,
+    asap: Asap,
 }
 
-impl PassScratch {
-    /// Route vertex-disjoint copies of `factor` in parallel and append
-    /// them to the pass as its next phase. Copy `c` is an arithmetic
-    /// progression of vertex ids — its position `p` is vertex
-    /// `c·step + stride·p` — and `targets[c][p]` is the destination
-    /// position of the token at position `p`; rows and columns of a
-    /// row-major product are always progressions, so no per-line vertex
-    /// vector is ever materialized.
-    ///
-    /// Round `k` of every copy forms the phase's layer `k`, in copy order.
-    /// The copies are routed one at a time and staged; the phase is then
-    /// counted per layer and scattered layer-major behind the earlier
-    /// phases, growing `swaps` by exactly the phase's size. Empty layers
-    /// are dropped.
-    fn phase<F: FactorRouter>(
-        &mut self,
-        factor: &F,
-        targets: &[Vec<usize>],
-        (step, stride): (usize, usize),
-        strategy: LineStrategy,
-    ) {
-        let PassScratch { swaps, ends, line: line_scratch, staged, rounds, next } = self;
-        staged.clear();
-        rounds.clear();
-        next.clear();
-        for (c, line) in targets.iter().enumerate() {
-            let base = c * step;
-            for (k, round) in factor
-                .route_line(line, strategy, line_scratch)
-                .iter()
-                .enumerate()
-            {
-                if k == next.len() {
-                    next.push(0);
-                }
-                next[k] += round.len();
-                rounds.push((k, round.len()));
-                staged.extend(round.iter().map(|&(a, b)| {
-                    (
-                        vertex_id(base + stride * a as usize),
-                        vertex_id(base + stride * b as usize),
-                    )
-                }));
-            }
+/// Which layout a pass is counted on: the instance's own, or its
+/// transpose, whose swaps are written in the instance's vertex ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// The instance's own layout.
+    Direct,
+    /// The transposed instance's layout: the factor swap `F2 □ F1`.
+    Transposed,
+}
+
+/// One line phase of a counted pass.
+#[derive(Debug)]
+struct Phase {
+    /// `targets[c][p]`: the destination of the token at factor vertex `p`
+    /// of line `c`.
+    targets: Vec<Vec<usize>>,
+    /// How each line is routed.
+    plans: Vec<LinePlan>,
+    /// Factor vertex `p` of line `c` is vertex `c·step + stride·p` of the
+    /// output.
+    step: usize,
+    stride: usize,
+}
+
+/// A 3-phase pass, counted but not laid out.
+#[derive(Debug)]
+pub(crate) struct Pass {
+    phases: [Phase; 3],
+    /// Vertices of the product.
+    n: usize,
+    /// Layers of every phase.
+    depths: [usize; 3],
+    size: usize,
+    /// The swap count of every compacted layer, once counted.
+    asap: Option<Vec<usize>>,
+}
+
+/// What a walk over a pass's swaps does with them.
+trait Sink {
+    /// The next swaps of the sequence: one line's round.
+    fn swaps(&mut self, swaps: impl ExactSizeIterator<Item = (u32, u32)>);
+    /// A phase layer is complete.
+    fn close_layer(&mut self) {}
+}
+
+/// The uncompacted layers, written as they close.
+struct Layers {
+    swaps: Vec<(u32, u32)>,
+    ends: Vec<usize>,
+}
+
+impl Sink for Layers {
+    fn swaps(&mut self, swaps: impl ExactSizeIterator<Item = (u32, u32)>) {
+        self.swaps.extend(swaps);
+    }
+
+    fn close_layer(&mut self) {
+        self.ends.push(self.swaps.len());
+    }
+}
+
+impl Sink for Asap {
+    fn swaps(&mut self, swaps: impl ExactSizeIterator<Item = (u32, u32)>) {
+        for (u, v) in swaps {
+            self.layer(u as usize, v as usize);
         }
-        let mut end = swaps.len();
-        for cursor in next.iter_mut() {
-            let start = end;
-            end += *cursor;
-            *cursor = start;
-            if end > start {
-                ends.push(end);
-            }
+    }
+}
+
+/// Every swap placed at its ASAP layer's cursor.
+struct Place<'a> {
+    asap: &'a mut Asap,
+    fill: LayerFill,
+}
+
+impl Sink for Place<'_> {
+    fn swaps(&mut self, swaps: impl ExactSizeIterator<Item = (u32, u32)>) {
+        for (u, v) in swaps {
+            let t = self.asap.layer(u as usize, v as usize);
+            self.fill.place(t, (u, v));
         }
-        swaps.reserve_exact(staged.len());
-        swaps.resize(end, (0, 0));
-        let mut from = 0;
-        for &(k, len) in rounds.iter() {
-            let to = next[k];
-            swaps[to..to + len].copy_from_slice(&staged[from..from + len]);
-            next[k] = to + len;
-            from += len;
+    }
+}
+
+/// Plan every line of a phase: its factor vertex `p` of line `c` is
+/// vertex `c·step + stride·p`. Returns the phase and its depth and size.
+fn count_phase<F: FactorRouter>(
+    factor: &F,
+    targets: Vec<Vec<usize>>,
+    (step, stride): (usize, usize),
+    strategy: LineStrategy,
+    lines: &mut LineScratch,
+) -> (Phase, LineCost) {
+    crate::budget::checkpoint();
+    let mut cost = LineCost::default();
+    let plans = targets
+        .iter()
+        .map(|line| {
+            let (plan, line_cost) = factor.plan(line, strategy, lines);
+            cost.depth = cost.depth.max(line_cost.depth);
+            cost.swaps += line_cost.swaps;
+            plan
+        })
+        .collect();
+    (Phase { targets, plans, step, stride }, cost)
+}
+
+impl Pass {
+    /// Number of layers of the uncompacted pass.
+    pub(crate) fn depth(&self) -> usize {
+        self.depths.iter().sum()
+    }
+
+    /// Every swap in the pass's sequence order — phase, layer, line,
+    /// position — each phase's lines routed in lockstep.
+    fn walk(&self, lines: &mut LineScratch, sink: &mut impl Sink) {
+        for (phase, &depth) in self.phases.iter().zip(&self.depths) {
+            crate::budget::checkpoint();
+            let batch = lines.batch();
+            let len = phase.targets[0].len();
+            batch.load(
+                phase
+                    .targets
+                    .iter()
+                    .map(Vec::as_slice)
+                    .zip(phase.plans.iter().copied()),
+                len,
+            );
+            let (step, stride) = (phase.step, phase.stride);
+            let mut layers = 0;
+            // Every id was checked into u32 when the pass was counted.
+            while batch.step(|round| {
+                let base = round.line * step;
+                let vertex = |a: usize| (base + stride * a) as u32;
+                sink.swaps(round.swaps().map(|(a, b)| (vertex(a), vertex(b))));
+            }) {
+                sink.close_layer();
+                layers += 1;
+            }
+            assert_eq!(layers, depth, "a phase laid out deeper than counted");
         }
     }
 
-    /// The assembled pass; the scratch is ready for the next one.
-    fn finish(&mut self) -> RoutingSchedule {
-        let mut ends = std::mem::take(&mut self.ends);
-        ends.shrink_to_fit();
-        RoutingSchedule::from_parts(std::mem::take(&mut self.swaps), ends)
+    /// The swap count of every layer of the pass compacted ASAP, from a
+    /// walk that streams the pass's swaps without storing them.
+    fn asap_layers(&self, scratch: &mut RouteScratch) -> Vec<usize> {
+        let RouteScratch { lines, asap } = scratch;
+        asap.reset(self.n);
+        self.walk(lines, asap);
+        asap.counts().to_vec()
+    }
+
+    /// The depth of the pass compacted ASAP; [`Pass::emit`] reuses the
+    /// layer counts.
+    pub(crate) fn asap_depth(&mut self, scratch: &mut RouteScratch) -> usize {
+        let layers = self.asap_layers(scratch);
+        let depth = layers.len();
+        self.asap = Some(layers);
+        depth
+    }
+
+    /// The pass as a schedule, compacted ASAP when `compact`, laid out
+    /// by one walk into exact-sized buffers under the `grid.emit` span.
+    pub(crate) fn emit(mut self, compact: bool, scratch: &mut RouteScratch) -> RoutingSchedule {
+        qroute_obs::trace::span("grid.emit", || {
+            if !compact {
+                let mut layers = Layers {
+                    swaps: Vec::with_capacity(self.size),
+                    ends: Vec::with_capacity(self.depth()),
+                };
+                self.walk(&mut scratch.lines, &mut layers);
+                assert_eq!(
+                    layers.swaps.len(),
+                    self.size,
+                    "a pass laid out larger than counted"
+                );
+                return RoutingSchedule::from_parts(layers.swaps, layers.ends);
+            }
+            let counts = self.asap.take().unwrap_or_else(|| self.asap_layers(scratch));
+            let RouteScratch { lines, asap } = scratch;
+            asap.reset(self.n);
+            let fill = LayerFill::new(vec![(0, 0); self.size], &counts);
+            let mut place = Place { asap, fill };
+            self.walk(lines, &mut place);
+            place.fill.finish()
+        })
     }
 }
 
@@ -186,29 +333,36 @@ pub fn grid_route_with_sigmas(
     strategy: LineStrategy,
 ) -> RoutingSchedule {
     let (f1, f2) = path_factors(grid);
-    route_phases(
+    let mut scratch = RouteScratch::default();
+    let pass = count_pass(
         grid,
         &f1,
         &f2,
         pi,
-        sigmas,
+        sigmas.to_vec(),
         strategy,
-        &mut PassScratch::default(),
-    )
+        Layout::Direct,
+        &mut scratch,
+    );
+    pass.emit(false, &mut scratch)
 }
 
-/// `GridRoute(F1 □ F2, π; σ₁,…,σₙ)` on the product laid out as `shape`:
-/// phases 1 and 3 route the columns with `f1`, phase 2 the rows with `f2`.
-/// Panics as [`grid_route_with_sigmas`] does.
-pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
+/// `GridRoute(F1 □ F2, π; σ₁,…,σₙ)` on the product laid out as `shape`,
+/// counted: phases 1 and 3 plan the columns with `f1`, phase 2 the rows
+/// with `f2`. With [`Layout::Transposed`], `shape` is the transpose of
+/// the instance and the pass writes the instance's vertex ids. Panics as
+/// [`grid_route_with_sigmas`] does.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn count_pass<A: FactorRouter, B: FactorRouter>(
     shape: Grid,
     f1: &A,
     f2: &B,
     pi: &Permutation,
-    sigmas: &[Vec<usize>],
+    sigmas: Vec<Vec<usize>>,
     strategy: LineStrategy,
-    scratch: &mut PassScratch,
-) -> RoutingSchedule {
+    layout: Layout,
+    scratch: &mut RouteScratch,
+) -> Pass {
     let m = shape.rows();
     let n = shape.cols();
     assert_eq!(pi.len(), shape.len(), "permutation size must match grid");
@@ -221,6 +375,8 @@ pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
             seen[r] = true;
         }
     }
+    // Every vertex id of the product fits a schedule's u32.
+    vertex_id(shape.len() - 1);
 
     // Phase 2 targets: row_targets[r][j] = destination column of the qubit
     // staged at (r, j).
@@ -245,16 +401,28 @@ pub(crate) fn route_phases<A: FactorRouter, B: FactorRouter>(
         }
     }
 
-    // Column j is vertices {j, j+n, …} (step 1, stride n); row r is
-    // {r·n, r·n+1, …} (step n, stride 1). Targets are borrowed straight
-    // from the phase tables — no per-line clones.
+    // Column j of `shape` is vertices {j, j+n, …} (step 1, stride n) and
+    // row r is {r·n, r·n+1, …} (step n, stride 1). A column of the
+    // transposed layout is a row of the instance (step m, stride 1) and a
+    // row of it is a column (step 1, stride m).
+    let (cols, rows) = match layout {
+        Layout::Direct => ((1, n), (n, 1)),
+        Layout::Transposed => ((m, 1), (1, m)),
+    };
+    let lines = &mut scratch.lines;
     // Phase 1: columns permuted by σ.
-    scratch.phase(f1, sigmas, (1, n), strategy);
+    let (phase1, cost1) = count_phase(f1, sigmas, cols, strategy, lines);
     // Phase 2: rows to destination columns.
-    scratch.phase(f2, &row_targets, (n, 1), strategy);
+    let (phase2, cost2) = count_phase(f2, row_targets, rows, strategy, lines);
     // Phase 3: columns to destination rows.
-    scratch.phase(f1, &col_targets, (1, n), strategy);
-    scratch.finish()
+    let (phase3, cost3) = count_phase(f1, col_targets, cols, strategy, lines);
+    Pass {
+        phases: [phase1, phase2, phase3],
+        n: shape.len(),
+        depths: [cost1.depth, cost2.depth, cost3.depth],
+        size: cost1.swaps + cost2.swaps + cost3.swaps,
+        asap: None,
+    }
 }
 
 /// σ from `m` perfect matchings and their staging rows: every qubit of
@@ -287,25 +455,26 @@ pub(crate) trait Staging {
     /// whose columns are copies of `f1`.
     fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation) -> Vec<Vec<usize>>;
 
-    /// One 3-phase pass on the product laid out as `shape`: pick σ for
-    /// `π`, then route the three line phases with `f1` and `f2`.
-    fn route_once<A: FactorRouter, B: FactorRouter>(
+    /// One 3-phase pass on the product laid out as `shape`, counted: pick
+    /// σ for `π`, then plan the three line phases with `f1` and `f2`.
+    fn count_once<A: FactorRouter, B: FactorRouter>(
         &self,
         shape: Grid,
         f1: &A,
         f2: &B,
         pi: &Permutation,
-        scratch: &mut PassScratch,
-    ) -> RoutingSchedule {
+        layout: Layout,
+        scratch: &mut RouteScratch,
+    ) -> Pass {
         let sigmas = self.sigmas(shape, f1, pi);
-        route_phases(shape, f1, f2, pi, &sigmas, self.line(), scratch)
+        count_pass(shape, f1, f2, pi, sigmas, self.line(), layout, scratch)
     }
 }
 
-/// Algorithm 1's passes on the product `F1 □ F2` laid out as `shape`: one
-/// pass with `staging`; with `try_transpose`, a second pass on the
-/// transposed instance (the factor swap `F2 □ F1`), keeping the shallower
-/// schedule in original vertex ids. Compaction is left to the caller.
+/// Algorithm 1's passes on the product `F1 □ F2` laid out as `shape`,
+/// counted: one pass with `staging`; with `try_transpose`, a second pass
+/// on the transposed instance (the factor swap `F2 □ F1`), kept only when
+/// it is strictly shallower. Nothing is laid out.
 pub(crate) fn best_pass<S: Staging, A: FactorRouter, B: FactorRouter>(
     shape: Grid,
     f1: &A,
@@ -313,15 +482,14 @@ pub(crate) fn best_pass<S: Staging, A: FactorRouter, B: FactorRouter>(
     pi: &Permutation,
     staging: &S,
     try_transpose: bool,
-) -> RoutingSchedule {
-    let mut scratch = PassScratch::default();
-    let best = staging.route_once(shape, f1, f2, pi, &mut scratch);
+    scratch: &mut RouteScratch,
+) -> Pass {
+    let best = staging.count_once(shape, f1, f2, pi, Layout::Direct, scratch);
     if !try_transpose {
         return best;
     }
     let (shape_t, pi_t) = transpose_instance(shape, pi);
-    let alt = staging.route_once(shape_t, f2, f1, &pi_t, &mut scratch);
-    let alt = untranspose_schedule(shape_t, alt);
+    let alt = staging.count_once(shape_t, f2, f1, &pi_t, Layout::Transposed, scratch);
     if alt.depth() < best.depth() {
         alt
     } else {
@@ -329,7 +497,8 @@ pub(crate) fn best_pass<S: Staging, A: FactorRouter, B: FactorRouter>(
     }
 }
 
-/// Algorithm 1: [`best_pass`], then, with `compact`, ASAP compaction.
+/// Algorithm 1: [`best_pass`], laid out once — compacted ASAP with
+/// `compact`.
 pub(crate) fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
     shape: Grid,
     f1: &A,
@@ -339,12 +508,8 @@ pub(crate) fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
     try_transpose: bool,
     compact: bool,
 ) -> RoutingSchedule {
-    let best = best_pass(shape, f1, f2, pi, staging, try_transpose);
-    if compact {
-        best.compact(shape.len())
-    } else {
-        best
-    }
+    let mut scratch = RouteScratch::default();
+    best_pass(shape, f1, f2, pi, staging, try_transpose, &mut scratch).emit(compact, &mut scratch)
 }
 
 /// Options for the naive grid router.
@@ -411,8 +576,7 @@ pub fn transpose_instance(grid: Grid, pi: &Permutation) -> (Grid, Permutation) {
 /// Map a schedule computed on the transposed grid back to original vertex
 /// ids.
 pub fn untranspose_schedule(grid_t: Grid, mut schedule: RoutingSchedule) -> RoutingSchedule {
-    // In place: a side-128 schedule holds over a million swaps, and
-    // `best_pass` still holds the other orientation's schedule.
+    // In place: a side-128 schedule holds over a million swaps.
     schedule.relabel(|v| grid_t.transpose_vertex(v));
     schedule
 }
@@ -563,6 +727,30 @@ mod tests {
         let s = grid_route_with_sigmas(grid, &pi, &sigmas, LineStrategy::BestParity);
         assert!(s.realizes(&pi));
         assert_eq!(s.depth(), 1, "pure row swap should take one layer");
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_the_line_phases() {
+        // Each row permuted within itself: the identity σ stages it, so
+        // no staging runs and every probe the route meets sits in its
+        // line phases.
+        use crate::budget::{self, BudgetExceeded, RouteBudget};
+        use std::time::{Duration, Instant};
+        let grid = Grid::new(32, 32);
+        let pi = Permutation::from_vec(
+            (0..grid.len())
+                .map(|v| {
+                    let (i, j) = grid.coords(v);
+                    grid.index(i, generators::random(32, i as u64).apply(j))
+                })
+                .collect(),
+        )
+        .unwrap();
+        let sigmas = vec![(0..32).collect::<Vec<usize>>(); 32];
+        let route = || grid_route_with_sigmas(grid, &pi, &sigmas, LineStrategy::BestParity);
+        assert!(route().realizes(&pi));
+        let expired = RouteBudget::unlimited().deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(budget::with_budget(&expired, route), Err(BudgetExceeded));
     }
 
     #[test]

@@ -1,24 +1,29 @@
-//! Differential test of the work-proportional grid kernels: verbatim
-//! copies of the kernels they replaced run beside the real routers, and
-//! every schedule must match layer by layer, swap for swap.
+//! Differential test of the grid routing engine and its kernels:
+//! verbatim copies of the code they replaced run beside the real routers,
+//! and every schedule must match layer by layer, swap for swap.
 //!
-//! [`parent`] holds the copies: the doubling window sweep that probed
-//! every band with `band_can_match`, the parallel-edge rebalance with
-//! sorted medians, the `Δ` loop over every (matching, row) pair, the
+//! [`parent`] holds the replaced kernels: the doubling window sweep that
+//! probed every band with `band_can_match`, the parallel-edge rebalance
+//! with sorted medians, the `Δ` loop over every (matching, row) pair, the
 //! odd–even kernel that rescanned the whole line every round, and the
 //! peel extraction without its early exit. The extraction reads the
 //! multigraph through its public accessors instead of its fields, and the
-//! sweep calls that copy instead of the method; nothing else is edited.
-//! The reference routers are the one 3-phase engine with these kernels
-//! plugged in as its staging and its factor routers.
+//! sweep calls that copy instead of the method.
+//!
+//! [`engine`] holds the 3-phase engine that counting and lockstep emission
+//! replaced: each phase's lines routed one at a time, staged and scattered
+//! layer-major into the pass, both orientations laid out, the transposed
+//! one relabeled, the kept pass compacted, `hybrid` laying out both
+//! routers' winners, and the cycle factor routing its cuts to rounds. Its
+//! factor routers return rounds, from the replaced line kernel. The
+//! `hybrid` arm reads the naive pass's compacted depth from `compact`
+//! instead of the deleted `compacted_depth`, which counted the same
+//! layers; nothing else is edited but names and paths.
 
-use crate::grid_route::{
-    algorithm1, best_pass, build_column_multigraph, sigmas_from, LineStrategy, NaiveOptions,
-    Staging,
-};
-use crate::line::{FirstParity, LineRounds, LineScratch};
+use crate::grid_route::{build_column_multigraph, sigmas_from, LineStrategy, NaiveOptions};
+use crate::line::{FirstParity, LineScratch};
 use crate::local_grid::{main_procedure, AssignmentStrategy, LocalRouteOptions, WindowMode};
-use crate::product_route::{product_route, CycleFactor, FactorRouter, PathFactor};
+use crate::product_route::{product_route, CycleFactor, PathFactor};
 use crate::router::{GridRouter, RouterKind};
 use crate::schedule::RoutingSchedule;
 use crate::snake::{serpentine_order, snake_route};
@@ -443,21 +448,265 @@ mod parent {
     }
 }
 
-/// Rounds in the flat form the 3-phase engine takes.
-fn flat(rounds: Vec<Vec<(usize, usize)>>) -> LineRounds<'static> {
+/// The replaced 3-phase engine, over factor routers that return rounds.
+mod engine {
+    use super::*;
+    use crate::grid_route::{transpose_instance, untranspose_schedule};
+    use crate::schedule::vertex_id;
+
+    /// Rounds of disjoint swaps on a line, stored flat.
+    pub struct LineRounds {
+        swaps: Vec<(u32, u32)>,
+        ends: Vec<usize>,
+    }
+
+    impl LineRounds {
+        pub fn new(swaps: Vec<(u32, u32)>, ends: Vec<usize>) -> LineRounds {
+            LineRounds { swaps, ends }
+        }
+
+        pub fn depth(&self) -> usize {
+            self.ends.len()
+        }
+
+        pub fn swaps(&self) -> &[(u32, u32)] {
+            &self.swaps
+        }
+
+        pub fn ends(&self) -> &[usize] {
+            &self.ends
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
+            let starts = std::iter::once(0).chain(self.ends.iter().copied());
+            starts
+                .zip(self.ends.iter().copied())
+                .map(|(from, to)| &self.swaps[from..to])
+        }
+    }
+
+    /// A permutation router for a one-dimensional factor graph that
+    /// returns its rounds.
+    pub trait FactorRouter {
+        fn len(&self) -> usize;
+        fn dist(&self, u: usize, v: usize) -> usize;
+        fn route_line(&self, targets: &[usize], strategy: LineStrategy) -> LineRounds;
+    }
+
+    /// A staging: the step of the pipeline that picks the staging rows σ.
+    pub trait Staging {
+        fn line(&self) -> LineStrategy;
+
+        fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation)
+            -> Vec<Vec<usize>>;
+
+        fn route_once<A: FactorRouter, B: FactorRouter>(
+            &self,
+            shape: Grid,
+            f1: &A,
+            f2: &B,
+            pi: &Permutation,
+            scratch: &mut PassScratch,
+        ) -> RoutingSchedule {
+            let sigmas = self.sigmas(shape, f1, pi);
+            route_phases(shape, f1, f2, pi, &sigmas, self.line(), scratch)
+        }
+    }
+
+    #[derive(Debug, Default)]
+    pub struct PassScratch {
+        swaps: Vec<(u32, u32)>,
+        ends: Vec<usize>,
+        staged: Vec<(u32, u32)>,
+        rounds: Vec<(usize, usize)>,
+        next: Vec<usize>,
+    }
+
+    impl PassScratch {
+        fn phase<F: FactorRouter>(
+            &mut self,
+            factor: &F,
+            targets: &[Vec<usize>],
+            (step, stride): (usize, usize),
+            strategy: LineStrategy,
+        ) {
+            let PassScratch { swaps, ends, staged, rounds, next } = self;
+            staged.clear();
+            rounds.clear();
+            next.clear();
+            for (c, line) in targets.iter().enumerate() {
+                let base = c * step;
+                for (k, round) in factor.route_line(line, strategy).iter().enumerate() {
+                    if k == next.len() {
+                        next.push(0);
+                    }
+                    next[k] += round.len();
+                    rounds.push((k, round.len()));
+                    staged.extend(round.iter().map(|&(a, b)| {
+                        (
+                            vertex_id(base + stride * a as usize),
+                            vertex_id(base + stride * b as usize),
+                        )
+                    }));
+                }
+            }
+            let mut end = swaps.len();
+            for cursor in next.iter_mut() {
+                let start = end;
+                end += *cursor;
+                *cursor = start;
+                if end > start {
+                    ends.push(end);
+                }
+            }
+            swaps.reserve_exact(staged.len());
+            swaps.resize(end, (0, 0));
+            let mut from = 0;
+            for &(k, len) in rounds.iter() {
+                let to = next[k];
+                swaps[to..to + len].copy_from_slice(&staged[from..from + len]);
+                next[k] = to + len;
+                from += len;
+            }
+        }
+
+        fn finish(&mut self) -> RoutingSchedule {
+            let mut ends = std::mem::take(&mut self.ends);
+            ends.shrink_to_fit();
+            RoutingSchedule::from_parts(std::mem::take(&mut self.swaps), ends)
+        }
+    }
+
+    pub fn route_phases<A: FactorRouter, B: FactorRouter>(
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+        sigmas: &[Vec<usize>],
+        strategy: LineStrategy,
+        scratch: &mut PassScratch,
+    ) -> RoutingSchedule {
+        let m = shape.rows();
+        let n = shape.cols();
+        assert_eq!(pi.len(), shape.len(), "permutation size must match grid");
+        assert_eq!(sigmas.len(), n, "need one σ per column");
+        for (j, sigma) in sigmas.iter().enumerate() {
+            assert_eq!(sigma.len(), m, "σ_{j} must cover all rows");
+            let mut seen = vec![false; m];
+            for &r in sigma {
+                assert!(r < m && !seen[r], "σ_{j} is not a permutation of rows");
+                seen[r] = true;
+            }
+        }
+        let mut row_targets = vec![vec![usize::MAX; n]; m];
+        let mut col_targets = vec![vec![usize::MAX; m]; n];
+        for j in 0..n {
+            for (i, &r) in sigmas[j].iter().enumerate() {
+                let (ip, jp) = shape.coords(pi.apply(shape.index(i, j)));
+                assert_eq!(
+                    row_targets[r][j],
+                    usize::MAX,
+                    "two qubits of column {j} staged in row {r}"
+                );
+                row_targets[r][j] = jp;
+                assert!(
+                    col_targets[jp][r] == usize::MAX,
+                    "σ's violate the matching property: row {r} sends two qubits to column {jp}"
+                );
+                col_targets[jp][r] = ip;
+            }
+        }
+        scratch.phase(f1, sigmas, (1, n), strategy);
+        scratch.phase(f2, &row_targets, (n, 1), strategy);
+        scratch.phase(f1, &col_targets, (1, n), strategy);
+        scratch.finish()
+    }
+
+    pub fn best_pass<S: Staging, A: FactorRouter, B: FactorRouter>(
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+        staging: &S,
+        try_transpose: bool,
+    ) -> RoutingSchedule {
+        let mut scratch = PassScratch::default();
+        let best = staging.route_once(shape, f1, f2, pi, &mut scratch);
+        if !try_transpose {
+            return best;
+        }
+        let (shape_t, pi_t) = transpose_instance(shape, pi);
+        let alt = staging.route_once(shape_t, f2, f1, &pi_t, &mut scratch);
+        let alt = untranspose_schedule(shape_t, alt);
+        if alt.depth() < best.depth() {
+            alt
+        } else {
+            best
+        }
+    }
+
+    pub fn algorithm1<S: Staging, A: FactorRouter, B: FactorRouter>(
+        shape: Grid,
+        f1: &A,
+        f2: &B,
+        pi: &Permutation,
+        staging: &S,
+        try_transpose: bool,
+        compact: bool,
+    ) -> RoutingSchedule {
+        let best = best_pass(shape, f1, f2, pi, staging, try_transpose);
+        if compact {
+            best.compact(shape.len())
+        } else {
+            best
+        }
+    }
+
+    /// The `Hybrid` arm of `route_on_untraced`; `local` is the
+    /// locality-aware router's `main_procedure`.
+    pub fn hybrid<S: Staging, A: FactorRouter>(
+        grid: Grid,
+        pi: &Permutation,
+        local: RoutingSchedule,
+        (f1, f2): (&A, &A),
+        no: &S,
+        no_compact: bool,
+        no_try_transpose: bool,
+    ) -> RoutingSchedule {
+        let naive = best_pass(grid, f1, f2, pi, no, no_try_transpose);
+        let naive_depth = if no_compact {
+            naive.compact(grid.len()).depth()
+        } else {
+            naive.depth()
+        };
+        if naive_depth < local.depth() {
+            drop(local);
+            if no_compact {
+                naive.compact(grid.len())
+            } else {
+                naive
+            }
+        } else {
+            local
+        }
+    }
+}
+
+/// Rounds in the flat form the replaced engine takes.
+fn flat(rounds: Vec<Vec<(usize, usize)>>) -> engine::LineRounds {
     let mut swaps = Vec::new();
     let mut ends = Vec::with_capacity(rounds.len());
     for round in rounds {
         swaps.extend(round.into_iter().map(|(a, b)| (a as u32, b as u32)));
         ends.push(swaps.len());
     }
-    LineRounds::new(swaps, ends)
+    engine::LineRounds::new(swaps, ends)
 }
 
 /// A path factor routed by the replaced kernel.
 struct ParentPath(Path);
 
-impl FactorRouter for ParentPath {
+impl engine::FactorRouter for ParentPath {
     fn len(&self) -> usize {
         self.0.len()
     }
@@ -466,21 +715,43 @@ impl FactorRouter for ParentPath {
         self.0.dist(u, v)
     }
 
-    fn route_line<'s>(
-        &self,
-        targets: &[usize],
-        strategy: LineStrategy,
-        _scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
+    fn route_line(&self, targets: &[usize], strategy: LineStrategy) -> engine::LineRounds {
         flat(parent::route(targets, strategy))
     }
 }
 
-/// A cycle factor: the same cuts, each routed by the replaced kernel,
-/// keeping the shallower as `CycleFactor` does.
+/// The replaced cycle factor: `CycleFactor::route_line` and
+/// `route_with_cut`, each cut routed by the replaced kernel.
 struct ParentCycle(Cycle);
 
-impl FactorRouter for ParentCycle {
+impl ParentCycle {
+    fn route_with_cut(
+        &self,
+        targets: &[usize],
+        cut: usize,
+        strategy: LineStrategy,
+    ) -> engine::LineRounds {
+        let n = self.0.len();
+        let start = (cut + 1) % n;
+        let to_path = |v: usize| (v + n - start) % n;
+        let to_cycle = |p: u32| ((p as usize + start) % n) as u32;
+        let mut path_targets = vec![0usize; n];
+        for v in 0..n {
+            path_targets[to_path(v)] = to_path(targets[v]);
+        }
+        let rounds = flat(parent::route(&path_targets, strategy));
+        engine::LineRounds::new(
+            rounds
+                .swaps()
+                .iter()
+                .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
+                .collect(),
+            rounds.ends().to_vec(),
+        )
+    }
+}
+
+impl engine::FactorRouter for ParentCycle {
     fn len(&self) -> usize {
         self.0.len()
     }
@@ -489,51 +760,55 @@ impl FactorRouter for ParentCycle {
         self.0.dist(u, v)
     }
 
-    fn route_line<'s>(
-        &self,
-        targets: &[usize],
-        strategy: LineStrategy,
-        _scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
-        let n = self.0.len();
-        let with_cut = |cut: usize| -> Vec<Vec<(usize, usize)>> {
-            let start = (cut + 1) % n;
-            let to_path = |v: usize| (v + n - start) % n;
-            let to_cycle = |p: usize| (p + start) % n;
-            let mut path_targets = vec![0usize; n];
-            for v in 0..n {
-                path_targets[to_path(v)] = to_path(targets[v]);
-            }
-            parent::route(&path_targets, strategy)
-                .iter()
-                .map(|round| {
-                    round
-                        .iter()
-                        .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
-                        .collect()
-                })
-                .collect()
-        };
+    fn route_line(&self, targets: &[usize], strategy: LineStrategy) -> engine::LineRounds {
         let best_cut = CycleFactor(self.0).least_crossed_cut(targets);
-        let a = with_cut(best_cut);
-        if best_cut == n - 1 {
-            return flat(a);
+        let a = self.route_with_cut(targets, best_cut, strategy);
+        if best_cut == self.len() - 1 {
+            return a;
         }
-        let b = with_cut(n - 1);
-        flat(if b.len() < a.len() { b } else { a })
+        let b = self.route_with_cut(targets, self.len() - 1, strategy);
+        if b.depth() < a.depth() {
+            b
+        } else {
+            a
+        }
     }
 }
 
 /// The locality-aware staging with the replaced kernels.
 struct ParentStaging(LocalRouteOptions);
 
-impl Staging for ParentStaging {
+impl engine::Staging for ParentStaging {
     fn line(&self) -> LineStrategy {
         self.0.line
     }
 
-    fn sigmas<A: FactorRouter>(&self, shape: Grid, f1: &A, pi: &Permutation) -> Vec<Vec<usize>> {
+    fn sigmas<A: engine::FactorRouter>(
+        &self,
+        shape: Grid,
+        f1: &A,
+        pi: &Permutation,
+    ) -> Vec<Vec<usize>> {
         parent::sigmas(&self.0, shape, |u, v| f1.dist(u, v), pi)
+    }
+}
+
+/// The naive staging, which no kernel change touched.
+struct ParentNaive(NaiveOptions);
+
+impl engine::Staging for ParentNaive {
+    fn line(&self) -> LineStrategy {
+        self.0.line
+    }
+
+    fn sigmas<A: engine::FactorRouter>(
+        &self,
+        shape: Grid,
+        _f1: &A,
+        pi: &Permutation,
+    ) -> Vec<Vec<usize>> {
+        let f1 = PathFactor(Path::new(shape.rows()));
+        crate::grid_route::Staging::sigmas(&self.0, shape, &f1, pi)
     }
 }
 
@@ -544,10 +819,10 @@ fn parent_factors(grid: Grid) -> (ParentPath, ParentPath) {
     )
 }
 
-/// `main_procedure` with the replaced kernels.
+/// `main_procedure` on the replaced engine and kernels.
 fn parent_local(grid: Grid, pi: &Permutation, opts: &LocalRouteOptions) -> RoutingSchedule {
     let (f1, f2) = parent_factors(grid);
-    algorithm1(
+    engine::algorithm1(
         grid,
         &f1,
         &f2,
@@ -558,13 +833,21 @@ fn parent_local(grid: Grid, pi: &Permutation, opts: &LocalRouteOptions) -> Routi
     )
 }
 
-/// `naive_grid_route` with the replaced line kernel.
+/// `naive_grid_route` on the replaced engine and line kernel.
 fn parent_naive(grid: Grid, pi: &Permutation, opts: &NaiveOptions) -> RoutingSchedule {
     let (f1, f2) = parent_factors(grid);
-    algorithm1(grid, &f1, &f2, pi, opts, opts.try_transpose, opts.compact)
+    engine::algorithm1(
+        grid,
+        &f1,
+        &f2,
+        pi,
+        &ParentNaive(*opts),
+        opts.try_transpose,
+        opts.compact,
+    )
 }
 
-/// `RouterKind::Hybrid`'s choice over the two reference routes.
+/// `RouterKind::Hybrid` on the replaced engine and kernels.
 fn parent_hybrid(
     grid: Grid,
     pi: &Permutation,
@@ -573,17 +856,15 @@ fn parent_hybrid(
 ) -> RoutingSchedule {
     let local = parent_local(grid, pi, lo);
     let (f1, f2) = parent_factors(grid);
-    let naive = best_pass(grid, &f1, &f2, pi, no, no.try_transpose);
-    let naive = if no.compact {
-        naive.compact(grid.len())
-    } else {
-        naive
-    };
-    if naive.depth() < local.depth() {
-        naive
-    } else {
-        local
-    }
+    engine::hybrid(
+        grid,
+        pi,
+        local,
+        (&f1, &f2),
+        &ParentNaive(*no),
+        no.compact,
+        no.try_transpose,
+    )
 }
 
 /// `snake_route` with the replaced line kernel.
@@ -636,9 +917,10 @@ fn classes(grid: Grid, seed: u64) -> Vec<(&'static str, Permutation)> {
     ]
 }
 
-/// Locality-aware option sets: the default, the paper's, and one per
-/// ablation of the assignment, the window search and the line strategy.
-fn local_options() -> [LocalRouteOptions; 5] {
+/// Locality-aware option sets: the default, the paper's, one per
+/// ablation of the assignment, the window search and the line strategy,
+/// and the default without compaction and without the transpose retry.
+fn local_options() -> [LocalRouteOptions; 7] {
     let base = LocalRouteOptions::default();
     [
         base,
@@ -650,11 +932,26 @@ fn local_options() -> [LocalRouteOptions; 5] {
             line: LineStrategy::EvenFirst,
             ..base
         },
+        LocalRouteOptions { compact: false, ..base },
+        LocalRouteOptions { try_transpose: false, ..base },
     ]
 }
 
-/// Every grid router whose staging or line phases changed, on `(grid,
-/// pi)`, against its reference. Returns the number of schedules compared.
+/// The two hybrids: the default, and the paper's locality-aware options
+/// clamped by the plain naive router, neither compacting.
+fn hybrids() -> [(LocalRouteOptions, NaiveOptions); 2] {
+    let RouterKind::Hybrid(lo, no) = RouterKind::hybrid() else {
+        unreachable!("hybrid() builds the hybrid router")
+    };
+    [
+        (lo, no),
+        (LocalRouteOptions::paper(), NaiveOptions::plain()),
+    ]
+}
+
+/// Every grid router on `(grid, pi)` against its reference: each
+/// locality-aware option set, naive plain, default and randomized, both
+/// hybrids and snake. Returns the number of schedules compared.
 fn compare_grid_routers(grid: Grid, pi: &Permutation, seed: u64, at: &str) -> usize {
     let mut compared = 0;
     for opts in local_options() {
@@ -676,26 +973,53 @@ fn compare_grid_routers(grid: Grid, pi: &Permutation, seed: u64, at: &str) -> us
         assert_same(&got, &parent_naive(grid, pi, &opts), &at);
         compared += 1;
     }
-    let RouterKind::Hybrid(lo, no) = RouterKind::hybrid() else {
-        unreachable!("hybrid() builds the hybrid router")
-    };
-    assert_same(
-        &RouterKind::hybrid().route(grid, pi),
-        &parent_hybrid(grid, pi, &lo, &no),
-        &format!("{at} hybrid"),
-    );
+    for (lo, no) in hybrids() {
+        assert_same(
+            &RouterKind::Hybrid(lo, no).route(grid, pi),
+            &parent_hybrid(grid, pi, &lo, &no),
+            &format!("{at} hybrid {lo:?} {no:?}"),
+        );
+        compared += 1;
+    }
     assert_same(
         &snake_route(grid, pi),
         &parent_snake(grid, pi),
         &format!("{at} snake"),
     );
-    compared + 2
+    compared + 1
 }
 
-/// Every locality-aware option set, naive (plain, default and
-/// randomized), hybrid and snake on grids 1×1 to 14×14 and non-square
-/// shapes up to 20×13, seven classes and three seeds, against the
-/// replaced kernels.
+/// Every grid router on `shapes`, seven classes and `seeds` seeds (the
+/// reversal, which ignores the seed, once). Returns the number of
+/// schedules compared.
+fn compare_on_shapes(shapes: &[(usize, usize)], seeds: u64) -> usize {
+    let mut compared = 0;
+    for &(m, n) in shapes {
+        let grid = Grid::new(m, n);
+        for seed in 0..seeds {
+            for (class, pi) in classes(grid, seed) {
+                if class == "reversal" && seed > 0 {
+                    continue;
+                }
+                let at = format!("{m}x{n} {class} seed {seed}");
+                compared += compare_grid_routers(grid, &pi, seed, &at);
+            }
+        }
+    }
+    compared
+}
+
+/// Schedules [`compare_grid_routers`] compares per instance.
+const PER_INSTANCE: usize = 7 + 3 + 2 + 1;
+
+/// Instances per shape over `seeds` seeds: six seeded classes per seed,
+/// one reversal.
+fn instances(seeds: u64) -> usize {
+    6 * seeds as usize + 1
+}
+
+/// Every grid router on grids 1×1 to 14×14 and non-square shapes up to
+/// 20×13, against the replaced engine and kernels.
 #[test]
 fn grid_routes_match_the_replaced_kernels() {
     let mut shapes: Vec<(usize, usize)> = (1..=14).map(|s| (s, s)).collect();
@@ -713,42 +1037,33 @@ fn grid_routes_match_the_replaced_kernels() {
         (13, 20),
         (20, 13),
     ]);
-    let mut compared = 0;
-    for &(m, n) in &shapes {
-        let grid = Grid::new(m, n);
-        for seed in 0..3 {
-            for (class, pi) in classes(grid, seed) {
-                if class == "reversal" && seed > 0 {
-                    continue;
-                }
-                let at = format!("{m}x{n} {class} seed {seed}");
-                compared += compare_grid_routers(grid, &pi, seed, &at);
-            }
-        }
+    assert_eq!(
+        compare_on_shapes(&shapes, 3),
+        shapes.len() * instances(3) * PER_INSTANCE
+    );
+}
+
+/// Shapes past 32 rows, where the sweep runs more doublings and lines
+/// outgrow the small grids' windows. Optimized builds add 64×64 and
+/// seeds 1 and 2; unoptimized ones, where a comparison costs far more,
+/// take seed 0.
+#[test]
+fn large_grid_routes_match_the_replaced_kernels() {
+    let mut shapes = vec![(32, 48), (48, 32), (40, 40)];
+    let mut seeds = 1;
+    if !cfg!(debug_assertions) {
+        shapes.push((64, 64));
+        seeds = 3;
     }
-    // Shapes past 32 rows, where the sweep runs more doublings.
-    for (m, n) in [(32, 48), (48, 32), (40, 40)] {
-        let grid = Grid::new(m, n);
-        for (class, pi) in classes(grid, 0) {
-            if matches!(class, "random" | "block4" | "overlap4s2") {
-                let at = format!("{m}x{n} {class}");
-                let opts = LocalRouteOptions::default();
-                assert_same(
-                    &main_procedure(grid, &pi, &opts),
-                    &parent_local(grid, &pi, &opts),
-                    &at,
-                );
-                compared += 1;
-            }
-        }
-    }
-    let per_instance = local_options().len() + 5;
-    let instances = shapes.len() * (6 * 3 + 1);
-    assert_eq!(compared, instances * per_instance + 9);
+    assert_eq!(
+        compare_on_shapes(&shapes, seeds),
+        shapes.len() * instances(seeds) * PER_INSTANCE
+    );
 }
 
 /// Algorithm 1 on tori and cylinders (cycle factors cut and routed as
-/// paths) and on path products, against the replaced kernels.
+/// paths) and on cycle × path products, against the replaced engine and
+/// kernels.
 #[test]
 fn product_routes_match_the_replaced_kernels() {
     let mut compared = 0;
@@ -764,7 +1079,7 @@ fn product_routes_match_the_replaced_kernels() {
                     let torus = Product::new(cm.to_graph(), cn.to_graph());
                     assert_same(
                         &product_route(&torus, &CycleFactor(cm), &CycleFactor(cn), &pi, &opts),
-                        &algorithm1(
+                        &engine::algorithm1(
                             shape,
                             &ParentCycle(cm),
                             &ParentCycle(cn),
@@ -778,7 +1093,7 @@ fn product_routes_match_the_replaced_kernels() {
                     let cylinder = Product::new(pm.to_graph(), cn.to_graph());
                     assert_same(
                         &product_route(&cylinder, &PathFactor(pm), &CycleFactor(cn), &pi, &opts),
-                        &algorithm1(
+                        &engine::algorithm1(
                             shape,
                             &ParentPath(pm),
                             &ParentCycle(cn),
@@ -792,7 +1107,7 @@ fn product_routes_match_the_replaced_kernels() {
                     let cylinder_t = Product::new(cm.to_graph(), pn.to_graph());
                     assert_same(
                         &product_route(&cylinder_t, &CycleFactor(cm), &PathFactor(pn), &pi, &opts),
-                        &algorithm1(
+                        &engine::algorithm1(
                             shape,
                             &ParentCycle(cm),
                             &ParentPath(pn),
@@ -808,7 +1123,7 @@ fn product_routes_match_the_replaced_kernels() {
             }
         }
     }
-    assert_eq!(compared, 7 * 3 * 7 * 5 * 3);
+    assert_eq!(compared, 7 * 3 * 7 * 7 * 3);
 }
 
 /// Every permutation of `0..l`.

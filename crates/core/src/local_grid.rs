@@ -24,8 +24,8 @@
 //! with it.
 
 use crate::grid_route::{
-    algorithm1, build_column_multigraph, path_factors, route_phases, sigmas_from, LineStrategy,
-    PassScratch, Staging,
+    algorithm1, build_column_multigraph, count_pass, path_factors, sigmas_from, Layout,
+    LineStrategy, Pass, RouteScratch, Staging,
 };
 use crate::product_route::FactorRouter;
 use crate::schedule::RoutingSchedule;
@@ -442,19 +442,20 @@ impl Staging for LocalRouteOptions {
         sigmas_from(shape, &mg, &matchings, &row_of)
     }
 
-    /// Algorithm 2 on `F1 □ F2`: the staging, then the three line phases,
-    /// each under its own span.
-    fn route_once<A: FactorRouter, B: FactorRouter>(
+    /// Algorithm 2 on `F1 □ F2`: the staging, then the three line phases
+    /// counted, each under its own span.
+    fn count_once<A: FactorRouter, B: FactorRouter>(
         &self,
         shape: Grid,
         f1: &A,
         f2: &B,
         pi: &Permutation,
-        scratch: &mut PassScratch,
-    ) -> RoutingSchedule {
+        layout: Layout,
+        scratch: &mut RouteScratch,
+    ) -> Pass {
         let sigmas = qroute_obs::trace::span("locality.matchings", || self.sigmas(shape, f1, pi));
         qroute_obs::trace::span("locality.line_routing", || {
-            route_phases(shape, f1, f2, pi, &sigmas, self.line, scratch)
+            count_pass(shape, f1, f2, pi, sigmas, self.line, layout, scratch)
         })
     }
 }
@@ -468,7 +469,9 @@ pub fn local_grid_route_single(
     opts: &LocalRouteOptions,
 ) -> RoutingSchedule {
     let (f1, f2) = path_factors(grid);
-    opts.route_once(grid, &f1, &f2, pi, &mut PassScratch::default())
+    let mut scratch = RouteScratch::default();
+    opts.count_once(grid, &f1, &f2, pi, Layout::Direct, &mut scratch)
+        .emit(false, &mut scratch)
 }
 
 /// Algorithm 1, the main procedure: run `LocalGridRoute` on `(G, π)` and —

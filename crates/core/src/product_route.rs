@@ -15,7 +15,7 @@
 //! when the factors are path-like.
 
 use crate::grid_route::{algorithm1, LineStrategy};
-use crate::line::{LineRounds, LineScratch};
+use crate::line::{LineCost, LinePlan, LineScratch};
 use crate::local_grid::LocalRouteOptions;
 use crate::schedule::RoutingSchedule;
 use qroute_perm::Permutation;
@@ -31,16 +31,18 @@ pub trait FactorRouter {
     }
     /// Graph distance in the factor.
     fn dist(&self, u: usize, v: usize) -> usize;
-    /// Route a permutation of the factor's vertices: rounds of disjoint
-    /// swaps over factor edges realizing `targets[p]` = destination of the
-    /// token at factor vertex `p`. The rounds may borrow `scratch`, so one
-    /// phase routes every copy of the factor through the same buffers.
-    fn route_line<'s>(
+    /// Plan the routing of one copy of the factor, where `targets[v]` is
+    /// the destination of the token at factor vertex `v`: the vertex its
+    /// Hamiltonian path starts at and its first parity, and what routing
+    /// it by odd–even transposition along that path costs. `scratch`
+    /// lends the kernel's buffers, so one phase plans every copy of the
+    /// factor through the same ones.
+    fn plan(
         &self,
         targets: &[usize],
         strategy: LineStrategy,
-        scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s>;
+        scratch: &mut LineScratch,
+    ) -> (LinePlan, LineCost);
 }
 
 /// Path factor routed by odd–even transposition.
@@ -54,13 +56,13 @@ impl FactorRouter for PathFactor {
     fn dist(&self, u: usize, v: usize) -> usize {
         self.0.dist(u, v)
     }
-    fn route_line<'s>(
+    fn plan(
         &self,
         targets: &[usize],
         strategy: LineStrategy,
-        scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
-        strategy.route(targets, scratch)
+        scratch: &mut LineScratch,
+    ) -> (LinePlan, LineCost) {
+        strategy.plan(targets, 0, scratch)
     }
 }
 
@@ -75,34 +77,6 @@ impl FactorRouter for PathFactor {
 pub struct CycleFactor(pub Cycle);
 
 impl CycleFactor {
-    /// Route after cutting the edge `(c, c+1 mod n)`.
-    fn route_with_cut(
-        &self,
-        targets: &[usize],
-        cut: usize,
-        strategy: LineStrategy,
-        scratch: &mut LineScratch,
-    ) -> LineRounds<'static> {
-        let n = self.0.len();
-        // Path order after cutting (c, c+1): c+1, c+2, …, c.
-        let start = (cut + 1) % n;
-        let to_path = |v: usize| (v + n - start) % n;
-        let to_cycle = |p: u32| ((p as usize + start) % n) as u32;
-        let mut path_targets = vec![0usize; n];
-        for v in 0..n {
-            path_targets[to_path(v)] = to_path(targets[v]);
-        }
-        let rounds = strategy.route(&path_targets, scratch);
-        LineRounds::new(
-            rounds
-                .swaps()
-                .iter()
-                .map(|&(a, b)| (to_cycle(a), to_cycle(b)))
-                .collect(),
-            rounds.ends().to_vec(),
-        )
-    }
-
     pub(crate) fn least_crossed_cut(&self, targets: &[usize]) -> usize {
         let n = self.0.len();
         let mut crossings = vec![0usize; n]; // edge e = (e, e+1 mod n)
@@ -141,23 +115,25 @@ impl FactorRouter for CycleFactor {
     fn dist(&self, u: usize, v: usize) -> usize {
         self.0.dist(u, v)
     }
-    fn route_line<'s>(
+    /// Cutting the edge `(c, c+1 mod n)` leaves the path `c+1, c+2, …, c`,
+    /// so the plan starts at `c + 1`; the trivial cut `(n-1, 0)` starts at
+    /// 0.
+    fn plan(
         &self,
         targets: &[usize],
         strategy: LineStrategy,
-        scratch: &'s mut LineScratch,
-    ) -> LineRounds<'s> {
+        scratch: &mut LineScratch,
+    ) -> (LinePlan, LineCost) {
+        let n = self.len();
         let best_cut = self.least_crossed_cut(targets);
-        let a = self.route_with_cut(targets, best_cut, strategy, scratch);
-        if best_cut == self.len() - 1 {
+        let a = strategy.plan(targets, (best_cut + 1) % n, scratch);
+        if best_cut == n - 1 {
             return a;
         }
-        let b = self.route_with_cut(targets, self.len() - 1, strategy, scratch);
-        if b.depth() < a.depth() {
-            b
-        } else {
-            a
-        }
+        // The trivial cut wins only when strictly shallower.
+        strategy
+            .plan_below(targets, 0, a.1.depth, scratch)
+            .unwrap_or(a)
     }
 }
 
@@ -191,8 +167,12 @@ mod tests {
     use qroute_perm::generators;
 
     fn route(f: &CycleFactor, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
-        f.route_line(targets, LineStrategy::BestParity, &mut LineScratch::new())
-            .to_vecs()
+        let mut scratch = LineScratch::new();
+        let (plan, cost) = f.plan(targets, LineStrategy::BestParity, &mut scratch);
+        let rounds = scratch.route_by(targets, plan).to_vecs();
+        assert_eq!(cost.depth, rounds.len(), "{targets:?}: counted depth");
+        assert_eq!(cost.swaps, rounds.iter().map(Vec::len).sum::<usize>());
+        rounds
     }
 
     #[test]

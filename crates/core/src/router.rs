@@ -6,7 +6,7 @@
 //! locality aware algorithm by that of the naive algorithm. This has
 //! virtually no computational overhead." — that is [`RouterKind::Hybrid`].
 
-use crate::grid_route::{best_pass, naive_grid_route, path_factors, NaiveOptions};
+use crate::grid_route::{best_pass, naive_grid_route, path_factors, NaiveOptions, RouteScratch};
 use crate::local_grid::{main_procedure, LocalRouteOptions};
 use crate::pathfinder::{pathfinder_route_grid, pathfinder_route_with, PathfinderOptions};
 use crate::schedule::RoutingSchedule;
@@ -231,27 +231,29 @@ impl RouterKind {
                 RouterKind::LocalityAware(opts) => main_procedure(grid, pi, opts),
                 RouterKind::NaiveGrid(opts) => naive_grid_route(grid, pi, opts),
                 RouterKind::Hybrid(lo, no) => {
-                    let local = main_procedure(grid, pi, lo);
-                    // Count the naive schedule's compacted depth before
-                    // laying it out: a losing naive schedule is never
-                    // compacted, and a winning one is compacted after the
-                    // local schedule is freed.
+                    // Both routers' winning passes are decided from counts,
+                    // a compacting side's depth from a streamed ASAP walk,
+                    // and only the returned pass is ever laid out.
                     let (f1, f2) = path_factors(grid);
-                    let naive = best_pass(grid, &f1, &f2, pi, no, no.try_transpose);
+                    let mut scratch = RouteScratch::default();
+                    let mut local =
+                        best_pass(grid, &f1, &f2, pi, lo, lo.try_transpose, &mut scratch);
+                    let mut naive =
+                        best_pass(grid, &f1, &f2, pi, no, no.try_transpose, &mut scratch);
+                    let local_depth = if lo.compact {
+                        local.asap_depth(&mut scratch)
+                    } else {
+                        local.depth()
+                    };
                     let naive_depth = if no.compact {
-                        naive.compacted_depth(grid.len())
+                        naive.asap_depth(&mut scratch)
                     } else {
                         naive.depth()
                     };
-                    if naive_depth < local.depth() {
-                        drop(local);
-                        if no.compact {
-                            naive.compact(grid.len())
-                        } else {
-                            naive
-                        }
+                    if naive_depth < local_depth {
+                        naive.emit(no.compact, &mut scratch)
                     } else {
-                        local
+                        local.emit(lo.compact, &mut scratch)
                     }
                 }
                 RouterKind::Ats => ats_route_grid(grid, pi),

@@ -202,12 +202,6 @@ impl RoutingSchedule {
         RoutingSchedule::compact_swaps(n, self.vertex_pairs())
     }
 
-    /// The depth of [`RoutingSchedule::compact`]'s result, counted without
-    /// building it.
-    pub(crate) fn compacted_depth(&self, n: usize) -> usize {
-        asap_layers(n, self.vertex_pairs(), |_| {}).len()
-    }
-
     /// The swaps as `usize` vertex pairs, in execution order.
     fn vertex_pairs(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
         self.swaps.iter().map(|&(u, v)| (u as usize, v as usize))
@@ -234,26 +228,19 @@ impl RoutingSchedule {
         let swaps = swaps.into_iter();
         // The output is allocated before the scratch, so it is the one
         // that lands in memory the caller has just freed.
-        let mut out = vec![(0u32, 0u32); swaps.len()];
+        let out = vec![(0u32, 0u32); swaps.len()];
         let mut layer_of: Vec<u32> = Vec::with_capacity(swaps.len());
-        // `next[t]` counts layer `t`'s swaps, then becomes its write cursor.
-        let mut next = asap_layers(n, swaps.clone(), |t| {
+        let mut asap = Asap::default();
+        asap.reset(n);
+        for (u, v) in swaps.clone() {
+            let t = asap.layer(u, v);
             layer_of.push(u32::try_from(t).expect("layer index exceeds u32::MAX"));
-        });
-        let mut ends = Vec::with_capacity(next.len());
-        let mut end = 0;
-        for cursor in &mut next {
-            let start = end;
-            end += *cursor;
-            *cursor = start;
-            ends.push(end);
         }
+        let mut fill = LayerFill::new(out, asap.counts());
         for ((u, v), &t) in swaps.zip(&layer_of) {
-            let cursor = &mut next[t as usize];
-            out[*cursor] = (vertex_id(u), vertex_id(v));
-            *cursor += 1;
+            fill.place(t as usize, (vertex_id(u), vertex_id(v)));
         }
-        RoutingSchedule::from_parts(out, ends)
+        fill.finish()
     }
 
     /// Fuse another schedule after this one and compact the result.
@@ -295,26 +282,82 @@ impl RoutingSchedule {
     }
 }
 
-/// The first walk of the ASAP pass: hands each swap's layer to `each`, in
-/// sequence order, and returns the number of swaps in every layer.
-fn asap_layers(
-    n: usize,
-    swaps: impl Iterator<Item = (usize, usize)>,
-    mut each: impl FnMut(usize),
-) -> Vec<usize> {
-    let mut avail = vec![0usize; n];
-    let mut counts = Vec::new();
-    for (u, v) in swaps {
-        let t = avail[u].max(avail[v]);
-        if t == counts.len() {
-            counts.push(0);
-        }
-        counts[t] += 1;
-        avail[u] = t + 1;
-        avail[v] = t + 1;
-        each(t);
+/// The greedy ASAP rule over a swap sequence: each swap goes to the layer
+/// after the last one touching either endpoint. Fed a sequence swap by
+/// swap, it also counts every layer's swaps.
+#[derive(Debug, Default)]
+pub(crate) struct Asap {
+    /// One past the last layer touching each vertex.
+    avail: Vec<usize>,
+    /// The swap count of every layer so far.
+    counts: Vec<usize>,
+}
+
+impl Asap {
+    /// Start a sequence on `n` vertices.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.avail.clear();
+        self.avail.resize(n, 0);
+        self.counts.clear();
     }
-    counts
+
+    /// The layer of the sequence's next swap `(u, v)`.
+    #[inline]
+    pub(crate) fn layer(&mut self, u: usize, v: usize) -> usize {
+        let t = self.avail[u].max(self.avail[v]);
+        self.avail[u] = t + 1;
+        self.avail[v] = t + 1;
+        if t == self.counts.len() {
+            self.counts.push(0);
+        }
+        self.counts[t] += 1;
+        t
+    }
+
+    /// The swap count of every layer so far.
+    pub(crate) fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+}
+
+/// The placing walk of a stable counting sort by layer: each swap goes
+/// behind the earlier swaps of its layer, in a buffer sized up front.
+pub(crate) struct LayerFill {
+    swaps: Vec<(u32, u32)>,
+    /// Every layer's write cursor.
+    next: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl LayerFill {
+    /// Fill `swaps`, as long as the layer sizes `counts` add up to, with
+    /// layers of `counts[t]` swaps each.
+    pub(crate) fn new(swaps: Vec<(u32, u32)>, counts: &[usize]) -> LayerFill {
+        let mut next = Vec::with_capacity(counts.len());
+        let mut ends = Vec::with_capacity(counts.len());
+        let mut end = 0;
+        for &count in counts {
+            next.push(end);
+            end += count;
+            ends.push(end);
+        }
+        assert_eq!(end, swaps.len(), "layer sizes must add up to the buffer");
+        LayerFill { swaps, next, ends }
+    }
+
+    /// Place the next swap of layer `t`.
+    #[inline]
+    pub(crate) fn place(&mut self, t: usize, swap: (u32, u32)) {
+        let cursor = &mut self.next[t];
+        self.swaps[*cursor] = swap;
+        *cursor += 1;
+    }
+
+    /// The filled schedule; every layer must be full.
+    pub(crate) fn finish(self) -> RoutingSchedule {
+        assert_eq!(self.next, self.ends, "every layer must be filled");
+        RoutingSchedule::from_parts(self.swaps, self.ends)
+    }
 }
 
 #[cfg(test)]

@@ -32,12 +32,15 @@ fn disarmed_route_performs_zero_subscriber_calls() {
             "{} emitted no trace records while armed",
             router.label()
         );
-        // The locality-aware staging times its own stages.
+        // The locality-aware router times its staging's stages, its
+        // counted line phases and the one pass it lays out.
         if router.label() == "locality-aware" {
             for stage in [
                 "locality.window_search",
                 "locality.rebalance",
                 "locality.assign",
+                "locality.line_routing",
+                "grid.emit",
             ] {
                 let name = format!("{{\"name\":\"{stage}\"");
                 assert!(
