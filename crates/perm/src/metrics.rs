@@ -12,19 +12,49 @@
 use crate::permutation::Permutation;
 use qroute_topology::{dist, DistanceOracle, Graph, Grid};
 
+/// One pass over every token's L1 displacement: the sum, the maximum and
+/// the number of tokens that move at all. The routing service computes it
+/// once per grid job and feeds both `auto`'s features and the depth lower
+/// bound from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Displacement {
+    /// Sum over all tokens of the L1 distance to their destination.
+    pub total: usize,
+    /// Largest single-token L1 distance.
+    pub max: usize,
+    /// Tokens whose destination is not their own vertex (the support size).
+    pub moved: usize,
+}
+
+impl Displacement {
+    /// Scan `p` on `grid` once.
+    pub fn of(grid: Grid, p: &Permutation) -> Displacement {
+        assert_eq!(grid.len(), p.len());
+        let mut out = Displacement::default();
+        for (v, &img) in p.as_slice().iter().enumerate() {
+            let d = grid.dist(v, img);
+            out.total += d;
+            out.max = out.max.max(d);
+            out.moved += usize::from(d != 0);
+        }
+        out
+    }
+
+    /// `max(max, ceil(total / 2⌊n/2⌋))` for an instance on `n` vertices
+    /// (see [`depth_lower_bound`]).
+    pub fn depth_lower_bound(&self, n: usize) -> usize {
+        combine_depth_bounds(self.total, self.max, n)
+    }
+}
+
 /// Sum over all tokens of the L1 distance to their destination.
 pub fn total_displacement(grid: Grid, p: &Permutation) -> usize {
-    assert_eq!(grid.len(), p.len());
-    (0..p.len()).map(|v| grid.dist(v, p.apply(v))).sum()
+    Displacement::of(grid, p).total
 }
 
 /// Largest single-token L1 distance — a lower bound on routing depth.
 pub fn max_displacement(grid: Grid, p: &Permutation) -> usize {
-    assert_eq!(grid.len(), p.len());
-    (0..p.len())
-        .map(|v| grid.dist(v, p.apply(v)))
-        .max()
-        .unwrap_or(0)
+    Displacement::of(grid, p).max
 }
 
 /// Combine the two depth bounds: `max(maxd, ceil(total / 2⌊n/2⌋))`.
@@ -43,13 +73,13 @@ fn combine_depth_bounds(total: usize, maxd: usize, n: usize) -> usize {
     maxd.max(volume_bound)
 }
 
-/// Depth lower bound on a grid: `max(max_displacement, ceil(total / 2*⌊n/2⌋))`.
+/// Depth lower bound on a grid: `max(max_displacement, ceil(total / 2*⌊n/2⌋))`,
+/// from one [`Displacement`] pass.
 pub fn depth_lower_bound(grid: Grid, p: &Permutation) -> usize {
-    let n = p.len();
-    if n == 0 {
+    if p.is_empty() {
         return 0;
     }
-    combine_depth_bounds(total_displacement(grid, p), max_displacement(grid, p), n)
+    Displacement::of(grid, p).depth_lower_bound(p.len())
 }
 
 /// Same bounds on an arbitrary graph, using BFS distances (one scratch
@@ -129,27 +159,71 @@ pub fn cycle_length_histogram(p: &Permutation) -> Vec<usize> {
     hist
 }
 
+/// Running ranges of `i + j` and `i − j` over a set of grid vertices.
+///
+/// For two vertices `|Δi| + |Δj| = max(|Δ(i + j)|, |Δ(i − j)|)`, so the L1
+/// diameter of a set is the larger of the two ranges: one pass, no pairs.
+struct Extent {
+    /// Smallest and largest `i + j`.
+    sum: (usize, usize),
+    /// Smallest and largest `i + cols − j` (`i − j`, shifted to stay
+    /// unsigned).
+    diff: (usize, usize),
+}
+
+impl Extent {
+    const EMPTY: Extent = Extent { sum: (usize::MAX, 0), diff: (usize::MAX, 0) };
+
+    fn add(&mut self, grid: Grid, v: usize) {
+        let (i, j) = grid.coords(v);
+        let (s, d) = (i + j, i + grid.cols() - j);
+        self.sum = (self.sum.0.min(s), self.sum.1.max(s));
+        self.diff = (self.diff.0.min(d), self.diff.1.max(d));
+    }
+
+    /// L1 diameter of the vertices added so far (0 for none).
+    fn diameter(&self) -> usize {
+        if self.sum.0 == usize::MAX {
+            return 0;
+        }
+        (self.sum.1 - self.sum.0).max(self.diff.1 - self.diff.0)
+    }
+}
+
 /// The *spread* of a cycle on the grid: the L1 diameter of its vertex set
 /// (max pairwise L1 distance). Local workloads have small spreads.
+///
+/// Linear in the cycle length: the diameter is the larger of the ranges of
+/// `i + j` and `i − j` over the cycle's coordinates.
 pub fn cycle_spread(grid: Grid, cycle: &[usize]) -> usize {
-    let mut best = 0;
-    for (k, &u) in cycle.iter().enumerate() {
-        for &v in &cycle[k + 1..] {
-            best = best.max(grid.dist(u, v));
-        }
+    let mut extent = Extent::EMPTY;
+    for &v in cycle {
+        extent.add(grid, v);
     }
-    best
+    extent.diameter()
 }
 
 /// Maximum cycle spread over all non-trivial cycles of `p` — the paper's
 /// notion of "cycles contained within small regions" is `max_spread ≪
-/// diameter`.
+/// diameter`. Walks each cycle in place, so the whole scan is `O(n)`.
 pub fn max_cycle_spread(grid: Grid, p: &Permutation) -> usize {
-    p.cycles(false)
-        .iter()
-        .map(|c| cycle_spread(grid, c))
-        .max()
-        .unwrap_or(0)
+    let map = p.as_slice();
+    let mut seen = vec![false; map.len()];
+    let mut best = 0;
+    for start in 0..map.len() {
+        if seen[start] || map[start] == start {
+            continue;
+        }
+        let mut extent = Extent::EMPTY;
+        let mut v = start;
+        while !seen[v] {
+            seen[v] = true;
+            extent.add(grid, v);
+            v = map[v];
+        }
+        best = best.max(extent.diameter());
+    }
+    best
 }
 
 /// Block-locality score in `[0, 1]`: how well the instance matches the
@@ -159,8 +233,8 @@ pub fn max_cycle_spread(grid: Grid, p: &Permutation) -> usize {
 /// fits a single vertex (the identity), values near `1` mean all cycles
 /// are confined to blocks far smaller than the grid, and `0` means some
 /// cycle spans the full L1 diameter. The routing service's `auto`
-/// dispatch policy keys off this feature — it is `O(n)` on the cycle
-/// decomposition, far cheaper than trial-routing.
+/// dispatch policy keys off this feature — one `O(n)` walk over the
+/// cycles ([`max_cycle_spread`]), far cheaper than trial-routing.
 pub fn block_locality_score(grid: Grid, p: &Permutation) -> f64 {
     let diameter = (grid.rows() - 1) + (grid.cols() - 1);
     if diameter == 0 {

@@ -242,58 +242,54 @@ fn canonicalize_windowed(
     // Minimize (rows, cols, defects, dead edges, table) over the dihedral
     // orbit. With no defects this is the original (rows, cols, table)
     // order — empty defect lists never break a tie differently — so pure
-    // grid instances keep their historical canonical pick.
-    type Candidate = (
-        usize,
-        usize,
-        Vec<usize>,
-        Vec<(usize, usize)>,
-        Vec<usize>,
-        GridSymmetry,
-    );
-    let mut best: Option<Candidate> = None;
-    for sym in GridSymmetry::all() {
-        let target = sym.target(boxed);
-        let mut cand_table = vec![0usize; boxed.len()];
-        for (v, &img) in table.iter().enumerate() {
-            cand_table[sym.apply(boxed, v)] = sym.apply(boxed, img);
-        }
-        let mut cand_defects: Vec<usize> =
-            box_defects.iter().map(|&v| sym.apply(boxed, v)).collect();
-        cand_defects.sort_unstable();
-        let mut cand_edges: Vec<(usize, usize)> = box_dead_edges
+    // grid instances keep their historical canonical pick. A candidate
+    // replaces the best only when strictly smaller, so ties keep the
+    // earlier symmetry. Tables are compared entry by entry straight from
+    // `table` (most candidates differ within a few entries), and only the
+    // winner's table is built.
+    struct Candidate {
+        sym: GridSymmetry,
+        target: Grid,
+        defects: Vec<usize>,
+        edges: Vec<(usize, usize)>,
+    }
+    let candidate = |sym: GridSymmetry| {
+        let mut defects: Vec<usize> = box_defects.iter().map(|&v| sym.apply(boxed, v)).collect();
+        defects.sort_unstable();
+        let mut edges: Vec<(usize, usize)> = box_dead_edges
             .iter()
             .map(|&(u, v)| {
                 let (u, v) = (sym.apply(boxed, u), sym.apply(boxed, v));
                 (u.min(v), u.max(v))
             })
             .collect();
-        cand_edges.sort_unstable();
-        let better = match &best {
-            None => true,
-            Some((br, bc, bd, be, bt, _)) => {
-                (
-                    target.rows(),
-                    target.cols(),
-                    &cand_defects,
-                    &cand_edges,
-                    &cand_table,
-                ) < (*br, *bc, bd, be, bt)
-            }
-        };
-        if better {
-            best = Some((
-                target.rows(),
-                target.cols(),
-                cand_defects,
-                cand_edges,
-                cand_table,
-                sym,
-            ));
+        edges.sort_unstable();
+        Candidate { sym, target: sym.target(boxed), defects, edges }
+    };
+    // Entry `w` of a candidate's table: `sym` applied to the box table at
+    // `w`'s preimage under `sym`.
+    let entries = |c: &Candidate| {
+        let (sym, inv, target, table) = (c.sym, c.sym.inverse(), c.target, &table);
+        (0..boxed.len()).map(move |w| sym.apply(boxed, table[inv.apply(target, w)]))
+    };
+    let [first, rest @ ..] = GridSymmetry::all();
+    let mut best = candidate(first);
+    for sym in rest {
+        let cand = candidate(sym);
+        let order = (cand.target.rows(), cand.target.cols())
+            .cmp(&(best.target.rows(), best.target.cols()))
+            .then_with(|| cand.defects.cmp(&best.defects))
+            .then_with(|| cand.edges.cmp(&best.edges))
+            .then_with(|| entries(&cand).cmp(entries(&best)));
+        if order == std::cmp::Ordering::Less {
+            best = cand;
         }
     }
-    let (rows, cols, defects, dead, canonical_table, sym) = best.expect("orbit is non-empty");
-    let canonical_grid = Grid::new(rows, cols);
+    let Candidate { sym, target: canonical_grid, defects, edges: dead } = best;
+    let mut canonical_table = vec![0usize; boxed.len()];
+    for (v, &img) in table.iter().enumerate() {
+        canonical_table[sym.apply(boxed, v)] = sym.apply(boxed, img);
+    }
     let inv = sym.inverse();
     let to_original = (0..canonical_grid.len())
         .map(|v| {
@@ -396,7 +392,9 @@ impl CacheStats {
 /// engine's byte-determinism guarantee requires the same placement every
 /// run). Each shard orders its entries by recency and evicts its own
 /// least-recently-used entry when it outgrows `capacity / shards`
-/// (rounded up). Lookups touch recency; all counters are atomic, so
+/// (rounded up). A shard keeps its entries oldest first and holds each
+/// key at most once, so lookups search it from the most-recent end.
+/// Lookups touch recency; all counters are atomic, so
 /// shared references can be used concurrently — though the engine
 /// serializes cache decisions on the submit thread precisely so that
 /// hit/miss/evict sequences depend only on job order, never on worker
@@ -517,11 +515,19 @@ impl<V: Clone> ShardedLru<V> {
         guard
     }
 
-    /// Look up `key`, touching its recency on a hit.
+    /// Look up `key`, touching its recency on a hit. A zero-capacity
+    /// cache holds nothing, so it counts the miss without hashing the key
+    /// or taking a lock (it has one shard, so the `cache.miss` event names
+    /// shard 0 either way).
     pub fn get(&self, key: &CanonicalKey) -> Option<V> {
+        if self.per_shard_capacity == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event("cache.miss", &[("shard", qroute_obs::FieldValue::U64(0))]);
+            return None;
+        }
         let idx = self.shard_index(key);
         let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| k == key) {
+        if let Some(pos) = shard.iter().rposition(|(k, _)| k == key) {
             let entry = shard.remove(pos);
             let value = entry.1.clone();
             shard.push(entry);
@@ -549,7 +555,7 @@ impl<V: Clone> ShardedLru<V> {
         }
         let idx = self.shard_index(&key);
         let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| *k == key) {
+        if let Some(pos) = shard.iter().rposition(|(k, _)| *k == key) {
             shard.remove(pos);
         }
         shard.push((key, value));
@@ -580,7 +586,7 @@ impl<V: Clone> ShardedLru<V> {
         }
         let idx = self.shard_index(&key);
         let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| *k == key) {
+        if let Some(pos) = shard.iter().rposition(|(k, _)| *k == key) {
             let entry = shard.remove(pos);
             let value = entry.1.clone();
             shard.push(entry);
@@ -616,7 +622,7 @@ impl<V: Clone> ShardedLru<V> {
     /// not serve later duplicates), which is inherently fault-driven.
     pub fn remove(&self, key: &CanonicalKey) -> Option<V> {
         let mut shard = self.lock_shard(self.shard_index(key));
-        let pos = shard.iter().position(|(k, _)| k == key)?;
+        let pos = shard.iter().rposition(|(k, _)| k == key)?;
         Some(shard.remove(pos).1)
     }
 
@@ -630,11 +636,300 @@ impl<V: Clone> ShardedLru<V> {
     }
 }
 
+/// The eager dihedral minimization [`canonicalize_windowed`] replaced,
+/// kept verbatim as a differential reference: it builds all eight
+/// candidate tables and compares them whole.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn canonicalize_windowed(
+        grid: Grid,
+        pi: &Permutation,
+        dead_vertices: &[usize],
+        dead_edges: &[(usize, usize)],
+        window: (usize, usize, usize, usize),
+    ) -> Option<CanonicalForm> {
+        let (r0, c0, r1, c1) = window;
+        if (0..pi.len()).all(|v| pi.apply(v) == v) {
+            // Nothing moves: every instance shares the clean 1×1 box (any
+            // defects are irrelevant to an empty schedule).
+            return Some(CanonicalForm {
+                topology: Topology::grid(1, 1),
+                pi: Permutation::identity(1),
+                to_original: vec![grid.index(r0, c0)],
+            });
+        }
+        let boxed = Grid::new(r1 - r0 + 1, c1 - c0 + 1);
+        // π restricted to the box: the support maps onto itself, and in-box
+        // fixed points stay fixed, so this is a permutation of the box.
+        let mut table = vec![0usize; boxed.len()];
+        for i in 0..boxed.rows() {
+            for j in 0..boxed.cols() {
+                let img = pi.apply(grid.index(r0 + i, c0 + j));
+                let (ir, jc) = grid.coords(img);
+                debug_assert!(ir >= r0 && ir <= r1 && jc >= c0 && jc <= c1);
+                table[boxed.index(i, j)] = boxed.index(ir - r0, jc - c0);
+            }
+        }
+        // Defects that fall inside the window, in box coordinates. Defects
+        // outside cannot touch any box edge, so they drop out — which is what
+        // lets a defective instance share an entry with a pristine one whose
+        // moved region looks identical.
+        let in_window = |v: usize| {
+            let (i, j) = grid.coords(v);
+            i >= r0 && i <= r1 && j >= c0 && j <= c1
+        };
+        let to_box = |v: usize| {
+            let (i, j) = grid.coords(v);
+            boxed.index(i - r0, j - c0)
+        };
+        let box_defects: Vec<usize> = dead_vertices
+            .iter()
+            .copied()
+            .filter(|&v| in_window(v))
+            .map(to_box)
+            .collect();
+        let box_dead_edges: Vec<(usize, usize)> = dead_edges
+            .iter()
+            .filter(|&&(u, v)| in_window(u) && in_window(v))
+            .map(|&(u, v)| {
+                let (u, v) = (to_box(u), to_box(v));
+                (u.min(v), u.max(v))
+            })
+            .collect();
+        if !box_live_part_is_routable(boxed, &table, &box_defects, &box_dead_edges) {
+            return None;
+        }
+
+        // Minimize (rows, cols, defects, dead edges, table) over the dihedral
+        // orbit. With no defects this is the original (rows, cols, table)
+        // order — empty defect lists never break a tie differently — so pure
+        // grid instances keep their historical canonical pick.
+        type Candidate = (
+            usize,
+            usize,
+            Vec<usize>,
+            Vec<(usize, usize)>,
+            Vec<usize>,
+            GridSymmetry,
+        );
+        let mut best: Option<Candidate> = None;
+        for sym in GridSymmetry::all() {
+            let target = sym.target(boxed);
+            let mut cand_table = vec![0usize; boxed.len()];
+            for (v, &img) in table.iter().enumerate() {
+                cand_table[sym.apply(boxed, v)] = sym.apply(boxed, img);
+            }
+            let mut cand_defects: Vec<usize> =
+                box_defects.iter().map(|&v| sym.apply(boxed, v)).collect();
+            cand_defects.sort_unstable();
+            let mut cand_edges: Vec<(usize, usize)> = box_dead_edges
+                .iter()
+                .map(|&(u, v)| {
+                    let (u, v) = (sym.apply(boxed, u), sym.apply(boxed, v));
+                    (u.min(v), u.max(v))
+                })
+                .collect();
+            cand_edges.sort_unstable();
+            let better = match &best {
+                None => true,
+                Some((br, bc, bd, be, bt, _)) => {
+                    (
+                        target.rows(),
+                        target.cols(),
+                        &cand_defects,
+                        &cand_edges,
+                        &cand_table,
+                    ) < (*br, *bc, bd, be, bt)
+                }
+            };
+            if better {
+                best = Some((
+                    target.rows(),
+                    target.cols(),
+                    cand_defects,
+                    cand_edges,
+                    cand_table,
+                    sym,
+                ));
+            }
+        }
+        let (rows, cols, defects, dead, canonical_table, sym) = best.expect("orbit is non-empty");
+        let canonical_grid = Grid::new(rows, cols);
+        let inv = sym.inverse();
+        let to_original = (0..canonical_grid.len())
+            .map(|v| {
+                let (i, j) = boxed.coords(inv.apply(canonical_grid, v));
+                grid.index(r0 + i, c0 + j)
+            })
+            .collect();
+        let topology = if defects.is_empty() && dead.is_empty() {
+            Topology::Grid(canonical_grid)
+        } else {
+            Topology::grid_with_defects(canonical_grid, &defects, &dead)
+                .expect("a routable box keeps its moved tokens alive")
+        };
+        Some(CanonicalForm {
+            topology,
+            pi: Permutation::from_vec_unchecked(canonical_table),
+            to_original,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qroute_core::{GridRouter, RouterKind};
     use qroute_perm::generators;
+
+    /// `table` (a permutation of `boxed`) placed on `grid` under `sym`
+    /// with its image's top-left corner at `(r0, c0)`; every other token
+    /// stays home.
+    fn embed(
+        grid: Grid,
+        boxed: Grid,
+        table: &[usize],
+        sym: GridSymmetry,
+        at: (usize, usize),
+    ) -> Vec<usize> {
+        let target = sym.target(boxed);
+        let place = |v: usize| {
+            let (i, j) = target.coords(sym.apply(boxed, v));
+            grid.index(at.0 + i, at.1 + j)
+        };
+        let mut map: Vec<usize> = (0..grid.len()).collect();
+        for (v, &img) in table.iter().enumerate() {
+            map[place(v)] = place(img);
+        }
+        map
+    }
+
+    #[test]
+    fn lazy_minimization_matches_the_eager_reference() {
+        // Local patterns, symmetric ones included so that several
+        // symmetries tie on the whole key and only the tie rule decides
+        // the replay map.
+        let mut patterns: Vec<(Grid, Vec<usize>)> = vec![
+            (Grid::new(1, 2), vec![1, 0]),
+            (Grid::new(2, 2), vec![1, 3, 0, 2]),
+            (Grid::new(2, 2), vec![1, 0, 3, 2]),
+            (Grid::new(1, 5), vec![4, 3, 2, 1, 0]),
+            // A ring around a fixed center.
+            (Grid::new(3, 3), vec![1, 2, 5, 0, 4, 8, 3, 6, 7]),
+        ];
+        for seed in 0..4 {
+            let boxed = Grid::new(2 + seed as usize % 3, 3 + seed as usize % 2);
+            patterns.push((
+                boxed,
+                generators::random(boxed.len(), seed).as_slice().to_vec(),
+            ));
+            let boxed = Grid::new(4, 4);
+            patterns.push((
+                boxed,
+                generators::block_local(boxed, 2, 2, seed)
+                    .as_slice()
+                    .to_vec(),
+            ));
+            patterns.push((
+                boxed,
+                generators::sparse_random(boxed.len(), 5, seed)
+                    .as_slice()
+                    .to_vec(),
+            ));
+        }
+        let mut compared = 0;
+        for grid in [Grid::new(8, 9), Grid::new(10, 10)] {
+            let graph = grid.to_graph();
+            for (boxed, table) in &patterns {
+                for sym in GridSymmetry::all() {
+                    let target = sym.target(*boxed);
+                    let (rows, cols) = (grid.rows() - target.rows(), grid.cols() - target.cols());
+                    for at in [(0, 0), (1, 2), (rows, cols)] {
+                        let pi =
+                            Permutation::from_vec(embed(grid, *boxed, table, sym, at)).unwrap();
+                        let window = support_window(grid, &pi);
+                        let full = (0, 0, grid.rows() - 1, grid.cols() - 1);
+                        let fixed: Vec<usize> =
+                            (0..grid.len()).filter(|&v| pi.apply(v) == v).collect();
+                        let (r0, c0, r1, c1) = window;
+                        let inside = |v: usize| {
+                            let (i, j) = grid.coords(v);
+                            i >= r0 && i <= r1 && j >= c0 && j <= c1
+                        };
+                        let in_box: Vec<usize> = fixed
+                            .iter()
+                            .copied()
+                            .filter(|&v| inside(v))
+                            .take(1)
+                            .collect();
+                        let out_box: Vec<usize> = fixed
+                            .iter()
+                            .copied()
+                            .filter(|&v| !inside(v))
+                            .take(1)
+                            .collect();
+                        let box_edge: Vec<(usize, usize)> = graph
+                            .edges()
+                            .iter()
+                            .copied()
+                            .filter(|&(u, v)| inside(u) && inside(v))
+                            .take(1)
+                            .collect();
+                        let defect_sets = [
+                            (vec![], vec![]),
+                            (out_box.clone(), vec![]),
+                            (in_box.clone(), vec![]),
+                            (vec![], box_edge.clone()),
+                            ([in_box, out_box].concat(), box_edge),
+                        ];
+                        for (dead, dead_edges) in &defect_sets {
+                            for w in [window, full] {
+                                let what = format!("{boxed:?} {table:?} {sym:?} at {at:?} on {grid:?}, defects {dead:?} {dead_edges:?}, window {w:?}");
+                                let got = canonicalize_windowed(grid, &pi, dead, dead_edges, w);
+                                let want = reference::canonicalize_windowed(
+                                    grid, &pi, dead, dead_edges, w,
+                                );
+                                let (Some(got), Some(want)) = (&got, &want) else {
+                                    assert_eq!(got.is_some(), want.is_some(), "{what}");
+                                    continue;
+                                };
+                                assert_eq!(got.topology, want.topology, "{what}");
+                                assert_eq!(got.pi, want.pi, "{what}");
+                                assert_eq!(got.to_original, want.to_original, "{what}");
+                                let schedule = RouterKind::Ats
+                                    .route_on(&got.topology, &got.pi)
+                                    .expect("ats routes any connected topology");
+                                let replayed = got.replay(&schedule);
+                                assert_eq!(
+                                    replayed.swaps(),
+                                    want.replay(&schedule).swaps(),
+                                    "{what}"
+                                );
+                                assert!(replayed.realizes(&pi), "{what}");
+                                compared += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 1000, "only {compared} forms compared");
+    }
+
+    #[test]
+    fn zero_capacity_cache_counts_misses_without_storing() {
+        let lru: ShardedLru<usize> = ShardedLru::new(0, 8);
+        assert_eq!(lru.capacity(), 0);
+        for tag in 0..3 {
+            assert_eq!(lru.get(&key(tag)), None);
+            lru.insert(key(tag), tag);
+        }
+        assert_eq!(lru.get(&key(0)), None);
+        assert_eq!(lru.stats(), CacheStats { hits: 0, misses: 4, evictions: 0 });
+        assert_eq!(lru.remove(&key(0)), None);
+    }
 
     /// Empty-state audit: the hit-rate ratio of a cache that has never
     /// been looked up is a finite literal zero, never NaN from 0/0.

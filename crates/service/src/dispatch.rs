@@ -6,11 +6,13 @@
 //! instances (where approximate token swapping is ahead), and global
 //! instances (where the hybrid clamp — locality-aware ⊓ naive — is the
 //! safe pick). This module classifies a job into one of those regimes
-//! from features that cost `O(n)` to compute — orders of magnitude less
-//! than trial-routing every candidate.
+//! from features that cost `O(n)` to compute (one displacement pass and
+//! one walk over the cycles) — orders of magnitude less than
+//! trial-routing every candidate.
 
 use qroute_core::RouterKind;
-use qroute_perm::{metrics, Permutation};
+use qroute_perm::metrics::{self, Displacement};
+use qroute_perm::Permutation;
 use qroute_topology::{Grid, Topology};
 
 /// Cheap instance features the policy keys off.
@@ -29,12 +31,18 @@ pub struct InstanceFeatures {
     pub diameter: usize,
 }
 
-/// Compute the feature vector of an instance.
+/// Compute the feature vector of an instance: one displacement pass and
+/// one walk over the cycles, both `O(n)`.
 pub fn features(grid: Grid, pi: &Permutation) -> InstanceFeatures {
+    features_from(grid, pi, Displacement::of(grid, pi))
+}
+
+/// [`features`] from a displacement pass the caller already made.
+fn features_from(grid: Grid, pi: &Permutation, d: Displacement) -> InstanceFeatures {
     InstanceFeatures {
-        total_displacement: metrics::total_displacement(grid, pi),
-        max_displacement: metrics::max_displacement(grid, pi),
-        moved_tokens: pi.support_size(),
+        total_displacement: d.total,
+        max_displacement: d.max,
+        moved_tokens: d.moved,
         block_locality_score: metrics::block_locality_score(grid, pi),
         diameter: (grid.rows() - 1) + (grid.cols() - 1),
     }
@@ -66,7 +74,13 @@ pub const SPARSE_SUPPORT_FRACTION: f64 = 0.25;
 ///
 /// Deterministic per instance, so `auto` jobs stay byte-reproducible.
 pub fn select_router(grid: Grid, pi: &Permutation) -> RouterKind {
-    let f = features(grid, pi);
+    select_router_from(grid, pi, Displacement::of(grid, pi))
+}
+
+/// [`select_router`] from a displacement pass the caller already made (the
+/// engine shares it with the depth lower bound).
+pub(crate) fn select_router_from(grid: Grid, pi: &Permutation, d: Displacement) -> RouterKind {
+    let f = features_from(grid, pi, d);
     let picked = if f.max_displacement == 0 {
         RouterKind::locality_aware()
     } else if (f.moved_tokens as f64) <= SPARSE_SUPPORT_FRACTION * pi.len() as f64 {
@@ -133,10 +147,173 @@ pub fn select_router_on(topology: &Topology, pi: &Permutation) -> RouterKind {
     }
 }
 
+/// The feature and lower-bound scans this module and the engine replaced,
+/// kept verbatim as differential references: all-pairs cycle spreads over
+/// a materialized cycle list, and one pass per displacement statistic.
+#[cfg(test)]
+mod reference {
+    use qroute_perm::Permutation;
+    use qroute_topology::Grid;
+
+    pub fn cycle_spread(grid: Grid, cycle: &[usize]) -> usize {
+        let mut best = 0;
+        for (k, &u) in cycle.iter().enumerate() {
+            for &v in &cycle[k + 1..] {
+                best = best.max(grid.dist(u, v));
+            }
+        }
+        best
+    }
+
+    pub fn max_cycle_spread(grid: Grid, p: &Permutation) -> usize {
+        p.cycles(false)
+            .iter()
+            .map(|c| cycle_spread(grid, c))
+            .max()
+            .unwrap_or(0)
+    }
+
+    pub fn block_locality_score(grid: Grid, p: &Permutation) -> f64 {
+        let diameter = (grid.rows() - 1) + (grid.cols() - 1);
+        if diameter == 0 {
+            return 1.0;
+        }
+        1.0 - max_cycle_spread(grid, p) as f64 / diameter as f64
+    }
+
+    pub fn total_displacement(grid: Grid, p: &Permutation) -> usize {
+        assert_eq!(grid.len(), p.len());
+        (0..p.len()).map(|v| grid.dist(v, p.apply(v))).sum()
+    }
+
+    pub fn max_displacement(grid: Grid, p: &Permutation) -> usize {
+        assert_eq!(grid.len(), p.len());
+        (0..p.len())
+            .map(|v| grid.dist(v, p.apply(v)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    pub fn depth_lower_bound(grid: Grid, p: &Permutation) -> usize {
+        let n = p.len();
+        if n == 0 {
+            return 0;
+        }
+        let (total, maxd) = (total_displacement(grid, p), max_displacement(grid, p));
+        let per_layer = 2 * (n / 2);
+        let volume_bound = if per_layer == 0 {
+            0
+        } else {
+            total.div_ceil(per_layer)
+        };
+        maxd.max(volume_bound)
+    }
+
+    pub fn features(grid: Grid, pi: &Permutation) -> super::InstanceFeatures {
+        super::InstanceFeatures {
+            total_displacement: total_displacement(grid, pi),
+            max_displacement: max_displacement(grid, pi),
+            moved_tokens: pi.support_size(),
+            block_locality_score: block_locality_score(grid, pi),
+            diameter: (grid.rows() - 1) + (grid.cols() - 1),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{generate_class, RouteJob, RouterSpec};
     use qroute_perm::generators;
+
+    const CLASSES: [&str; 7] = [
+        "random",
+        "block2",
+        "block4",
+        "overlap4s2",
+        "overlap8s4",
+        "skinny",
+        "sparse-pairs",
+    ];
+
+    /// Every scan the submit path makes of one grid instance agrees with
+    /// its replaced reference: each cycle's spread, the maximum spread,
+    /// the features field by field (the score bit for bit), the lower
+    /// bound, and the router and bound `plan_route` derives from its one
+    /// shared displacement pass.
+    fn assert_scans_match(grid: Grid, pi: &Permutation, what: &str) {
+        for cycle in pi.cycles(true) {
+            assert_eq!(
+                metrics::cycle_spread(grid, &cycle),
+                reference::cycle_spread(grid, &cycle),
+                "{what}: cycle {cycle:?}"
+            );
+        }
+        assert_eq!(
+            metrics::max_cycle_spread(grid, pi),
+            reference::max_cycle_spread(grid, pi),
+            "{what}"
+        );
+        let (got, want) = (features(grid, pi), reference::features(grid, pi));
+        assert_eq!(got.total_displacement, want.total_displacement, "{what}");
+        assert_eq!(got.max_displacement, want.max_displacement, "{what}");
+        assert_eq!(got.moved_tokens, want.moved_tokens, "{what}");
+        assert_eq!(
+            got.block_locality_score.to_bits(),
+            want.block_locality_score.to_bits(),
+            "{what}"
+        );
+        assert_eq!(got.diameter, want.diameter, "{what}");
+        let bound = reference::depth_lower_bound(grid, pi);
+        assert_eq!(metrics::depth_lower_bound(grid, pi), bound, "{what}");
+        if grid.rows() == grid.cols() {
+            let job = RouteJob::explicit(grid.rows(), RouterSpec::Auto, pi);
+            let plan = crate::engine::plan_route(&job, &RouterSpec::Auto).expect("grid jobs plan");
+            assert_eq!(plan.lower_bound, bound, "{what}");
+            assert_eq!(
+                format!("{:?}", plan.router),
+                format!("{:?}", select_router(grid, pi)),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn submit_scans_match_the_replaced_references_on_every_class() {
+        let mut shapes: Vec<Grid> = (1..=24).map(|s| Grid::new(s, s)).collect();
+        shapes.extend(
+            [(1, 7), (2, 9), (3, 16), (5, 4), (7, 24), (12, 5), (17, 3)]
+                .map(|(r, c)| Grid::new(r, c)),
+        );
+        for grid in shapes {
+            for class in CLASSES {
+                for seed in 0..2 {
+                    let pi = generate_class(grid, class, seed).expect("class labels parse");
+                    assert_scans_match(grid, &pi, &format!("{class} {grid:?} seed {seed}"));
+                }
+            }
+        }
+        for side in [25, 31, 32, 40, 48] {
+            let grid = Grid::new(side, side);
+            for seed in 0..2 {
+                let pi = generators::random(grid.len(), seed);
+                assert_scans_match(grid, &pi, &format!("random {side} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_spread_is_the_larger_of_the_two_diagonal_ranges() {
+        // Anti-diagonal corners: the `i + j` range is 0 and only `i − j`
+        // sees the spread; main-diagonal corners the other way round.
+        let grid = Grid::new(5, 7);
+        let anti = [grid.index(0, 6), grid.index(4, 2)];
+        assert_eq!(metrics::cycle_spread(grid, &anti), 8);
+        let main = [grid.index(0, 0), grid.index(4, 6)];
+        assert_eq!(metrics::cycle_spread(grid, &main), 10);
+        assert_eq!(metrics::cycle_spread(grid, &[]), 0);
+        assert_eq!(metrics::cycle_spread(grid, &[grid.index(2, 3)]), 0);
+    }
 
     #[test]
     fn identity_and_tiny_grids_pick_locality_aware() {

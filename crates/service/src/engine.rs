@@ -31,7 +31,7 @@
 
 use crate::cache::{canonicalize_topology, CacheStats, CanonicalForm, CanonicalKey, ShardedLru};
 use crate::chaos::{self, ChaosConfig, ChaosState, ComputeFault};
-use crate::dispatch::select_router_on;
+use crate::dispatch::{select_router_from, select_router_on};
 use crate::errors::ServiceError;
 use crate::job::{CacheStatus, RouteJob, RouteOutcome, RouterSpec};
 use qroute_core::budget::{self, BudgetExceeded, CancelToken, QuietUnwind, RouteBudget};
@@ -621,9 +621,17 @@ pub(crate) fn plan_route(
     default_router: &RouterSpec,
 ) -> Result<RoutePlan, ServiceError> {
     let (topology, pi) = job.resolve()?;
-    let router = match job.router.as_ref().unwrap_or(default_router) {
-        RouterSpec::Auto => select_router_on(&topology, &pi),
-        RouterSpec::Fixed(kind) => kind.clone(),
+    // On a grid one displacement pass feeds both `auto`'s features and the
+    // depth lower bound.
+    let scan = topology
+        .as_grid()
+        .map(|grid| (grid, metrics::Displacement::of(grid, &pi)));
+    let router = match (job.router.as_ref().unwrap_or(default_router), scan) {
+        (RouterSpec::Fixed(kind), _) => kind.clone(),
+        (RouterSpec::Auto, Some((grid, displacement))) => {
+            select_router_from(grid, &pi, displacement)
+        }
+        (RouterSpec::Auto, None) => select_router_on(&topology, &pi),
     };
     if !router.supports(&topology) {
         // Reject before touching the cache: an unsupported pairing must
@@ -633,8 +641,8 @@ pub(crate) fn plan_route(
             topology: topology.to_string(),
         }));
     }
-    let lower_bound = match topology.as_grid() {
-        Some(grid) => metrics::depth_lower_bound(grid, &pi),
+    let lower_bound = match scan {
+        Some((_, displacement)) => displacement.depth_lower_bound(pi.len()),
         None => {
             let graph = topology.graph();
             let oracle = topology.oracle(&graph);
@@ -724,7 +732,11 @@ impl Engine {
                     Some(slot) => (CacheStatus::Hit, slot),
                     None => {
                         let slot = Arc::new(RouteSlot::default());
-                        self.cache.insert(plan.key.clone(), Arc::clone(&slot));
+                        // A zero-capacity cache stores nothing: skip the
+                        // key clone its insert would drop.
+                        if self.cache.capacity() > 0 {
+                            self.cache.insert(plan.key.clone(), Arc::clone(&slot));
+                        }
                         // Unbounded jobs keep the zero-overhead routing
                         // path: no deadline means nobody ever cancels, so
                         // the budget stays unarmed.

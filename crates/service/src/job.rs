@@ -461,7 +461,7 @@ fn project_fixing_dead(topology: &Topology, pi: &Permutation) -> Permutation {
 
 /// Generate a benchmark-class instance from its label (`random`,
 /// `block<B>`, `overlap<B>s<S>`, `skinny`, `sparse-pairs`).
-fn generate_class(grid: Grid, label: &str, seed: u64) -> Result<Permutation, String> {
+pub(crate) fn generate_class(grid: Grid, label: &str, seed: u64) -> Result<Permutation, String> {
     if label == "random" {
         return Ok(generators::random(grid.len(), seed));
     }

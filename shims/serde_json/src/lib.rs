@@ -138,7 +138,16 @@ const MAX_DEPTH: usize = 128;
 
 /// Parse a JSON document into a [`Value`]. Rejects trailing garbage.
 pub fn from_str(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 };
+    parse_document(input, number)
+}
+
+/// Parse a document, turning each number literal into a [`Value`] with
+/// `number`.
+fn parse_document(
+    input: &str,
+    number: impl Fn(&str) -> Result<Value, Error>,
+) -> Result<Value, Error> {
+    let mut p = Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0, number };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -148,14 +157,33 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The value of a number literal. Job lines are mostly short unsigned
+/// integers: up to 15 decimal digits stay below 2^53, so they are summed
+/// as integers, which is exactly the `f64` that `str::parse` would round
+/// them to. Every other literal (signs, fractions, exponents, 16 digits
+/// or more, malformed text) goes through `str::parse::<f64>`.
+fn number(text: &str) -> Result<Value, Error> {
+    let digits = text.as_bytes();
+    if digits.len() <= 15 && digits.iter().all(u8::is_ascii_digit) {
+        let n = digits
+            .iter()
+            .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+        return Ok(Value::Number(n as f64));
+    }
+    text.parse::<f64>()
+        .map(Value::Number)
+        .map_err(|_| Error(format!("invalid number {text:?}")))
+}
+
+struct Parser<'a, N> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    number: N,
 }
 
-impl Parser<'_> {
+impl<N: Fn(&str) -> Result<Value, Error>> Parser<'_, N> {
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -335,10 +363,9 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| Error(format!("invalid number {text:?}")))
+        // The scan consumed ASCII bytes only, so both ends are char
+        // boundaries.
+        (self.number)(&self.input[start..self.pos])
     }
 }
 
@@ -419,6 +446,161 @@ fn prettify(compact: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The float-only number reader [`number`] replaced, kept verbatim as
+    /// a differential reference.
+    fn reference_number(text: &str) -> Result<Value, Error> {
+        text.parse::<f64>()
+            .map(Value::Number)
+            .map_err(|_| Error(format!("invalid number {text:?}")))
+    }
+
+    /// Structural equality with numbers compared bit for bit (`-0` is not
+    /// `0`).
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+            (Value::Array(xs), Value::Array(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+            }
+            (Value::Object(xs), Value::Object(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && same(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// `from_str` and the reference parser agree on `input`: the same
+    /// document or the same error string.
+    fn assert_matches_reference(input: &str) -> Result<Value, Error> {
+        let (got, want) = (from_str(input), parse_document(input, reference_number));
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => assert!(same(a, b), "{input:?}: {a:?} against {b:?}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{input:?}"),
+            _ => panic!("{input:?}: {got:?} against the reference's {want:?}"),
+        }
+        got
+    }
+
+    /// Deterministic single-byte mutations of `line` at `positions`:
+    /// delete the byte, replace it with, or insert before it, each byte of
+    /// `alphabet`. Mutants that are not UTF-8 are skipped.
+    fn mutations<'a>(
+        line: &'a str,
+        positions: impl Iterator<Item = usize> + 'a,
+        alphabet: &'a [u8],
+    ) -> impl Iterator<Item = String> + 'a {
+        let bytes = line.as_bytes();
+        positions.flat_map(move |at| {
+            let delete = [bytes[..at].to_vec(), bytes[at + 1..].to_vec()].concat();
+            let edits = alphabet.iter().flat_map(move |&b| {
+                let replace = [&bytes[..at], &[b], &bytes[at + 1..]].concat();
+                let insert = [&bytes[..at], &[b], &bytes[at..]].concat();
+                [replace, insert]
+            });
+            std::iter::once(delete)
+                .chain(edits)
+                .filter_map(|m| String::from_utf8(m).ok())
+        })
+    }
+
+    /// Number, sign, exponent, structure, whitespace and string bytes.
+    const ALPHABET: &[u8] = b"0189-+.eE ,:[]{}\"x";
+    /// The bytes that most often turn a literal into another literal.
+    const SHORT_ALPHABET: &[u8] = b"09-.e, ]";
+
+    /// Campaign-style explicit-permutation job lines (a fixed shuffle).
+    fn perm_lines() -> Vec<String> {
+        let mut state = 0x2203_1133_u64;
+        (2..=5)
+            .map(|side: usize| {
+                let mut table: Vec<usize> = (0..side * side).collect();
+                for k in (1..table.len()).rev() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    table.swap(k, (state >> 33) as usize % (k + 1));
+                }
+                let entries: Vec<String> = table.iter().map(usize::to_string).collect();
+                format!(
+                    r#"{{"side":{side},"router":"auto","perm":[{}]}}"#,
+                    entries.join(",")
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mutated_job_lines_parse_like_the_reference() {
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let mut files: Vec<_> = std::fs::read_dir(examples)
+            .expect("examples directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "jsonl"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= 3, "{files:?}");
+        let mut mutants = 0usize;
+        for line in perm_lines() {
+            for m in mutations(&line, 0..line.len(), ALPHABET) {
+                let _ = assert_matches_reference(&m);
+                mutants += 1;
+            }
+        }
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("example file");
+            let outcomes = path.to_string_lossy().ends_with(".expected.jsonl");
+            for line in text.lines() {
+                assert_matches_reference(line).expect("example lines are JSON");
+                // Short job lines get every position and the full
+                // alphabet; outcome lines and long permutation lines (the
+                // same shape as the campaign lines above) their head, two
+                // inner bytes and their tail.
+                let n = line.len();
+                let (positions, alphabet): (Vec<usize>, _) = if n <= 200 && !outcomes {
+                    ((0..n).collect(), ALPHABET)
+                } else {
+                    let sample = (0..12).step_by(2).chain([n / 3, n / 2, n - 2, n - 1]);
+                    (sample.collect(), SHORT_ALPHABET)
+                };
+                for m in mutations(line, positions.into_iter(), alphabet) {
+                    let _ = assert_matches_reference(&m);
+                    mutants += 1;
+                }
+            }
+        }
+        assert!(mutants > 100_000, "only {mutants} mutants");
+    }
+
+    #[test]
+    fn edge_literals_keep_their_values_and_errors() {
+        for (literal, value) in [
+            ("007", 7.0),
+            ("999999999999999", 999_999_999_999_999.0),
+            ("9007199254740993", 9_007_199_254_740_992.0),
+            ("18446744073709551616", 18_446_744_073_709_551_616.0),
+            ("1e3", 1000.0),
+            ("1.0", 1.0),
+            ("-0", -0.0),
+        ] {
+            let got = assert_matches_reference(literal).expect("a valid literal");
+            let Value::Number(x) = got else {
+                panic!("{literal:?} parsed as {got:?}");
+            };
+            assert_eq!(x.to_bits(), f64::to_bits(value), "{literal:?}");
+        }
+        for literal in ["1-2", "1e", "-"] {
+            let err = assert_matches_reference(literal).expect_err("a malformed literal");
+            assert_eq!(
+                err.to_string(),
+                format!("JSON error: invalid number {literal:?}")
+            );
+        }
+    }
 
     #[test]
     fn pretty_formats_arrays_of_numbers() {
