@@ -283,7 +283,10 @@ impl Pass {
                 );
                 return RoutingSchedule::from_parts(layers.swaps, layers.ends);
             }
-            let counts = self.asap.take().unwrap_or_else(|| self.asap_layers(scratch));
+            let counts = self
+                .asap
+                .take()
+                .unwrap_or_else(|| self.asap_layers(scratch));
             let RouteScratch { lines, asap } = scratch;
             asap.reset(self.n);
             let fill = LayerFill::new(vec![(0, 0); self.size], &counts);

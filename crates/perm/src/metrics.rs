@@ -269,6 +269,19 @@ mod tests {
     }
 
     #[test]
+    fn volume_term_binds_when_every_token_moves_the_maximum() {
+        // The cycles (0 2 8 6 4) and (1 5 7 3) on 3×3: every token moves
+        // exactly 2, so the max displacement is 2, but 18 units of
+        // displacement at most 8 per layer need ⌈18/8⌉ = 3 layers.
+        let grid = Grid::new(3, 3);
+        let p = Permutation::from_vec(vec![2, 5, 8, 1, 0, 7, 4, 3, 6]).unwrap();
+        let d = Displacement::of(grid, &p);
+        assert_eq!((d.total, d.max, d.moved), (18, 2, 9));
+        assert_eq!(d.depth_lower_bound(grid.len()), 3);
+        assert_eq!(depth_lower_bound(grid, &p), 3);
+    }
+
+    #[test]
     fn graph_and_grid_bounds_agree_on_grid() {
         use qroute_topology::{GridOracle, LazyBfsOracle};
         let grid = Grid::new(3, 5);

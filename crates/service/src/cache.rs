@@ -385,6 +385,93 @@ impl CacheStats {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+/// `FNV_PRIME^k` for `k = 0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
+/// FNV-1a over the eight little-endian bytes of `x`. A zero byte only
+/// multiplies by the prime, so the high zero bytes of `x` fold into one
+/// multiply by a power of it (a permutation entry below 256 costs two
+/// multiplies, not eight).
+fn eat(mut h: u64, x: u64) -> u64 {
+    let len = (u64::BITS - x.leading_zeros()).div_ceil(8) as usize;
+    for byte in x.to_le_bytes().into_iter().take(len) {
+        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    h.wrapping_mul(FNV_PRIME_POWERS[8 - len])
+}
+
+/// The key's fixed FNV-1a hash over its bytes: deterministic across runs
+/// and machines, unlike the std hasher. Shard placement (and therefore
+/// eviction grouping) is this value modulo the shard count, so it must
+/// never change.
+fn key_hash(key: &CanonicalKey) -> u64 {
+    let mut h = key.router.bytes().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    });
+    // Full grids keep the historical `rows, cols` byte sequence so shard
+    // placement of pure grid workloads is unchanged; other variants
+    // prepend a `u64::MAX` tag no grid can produce (a row count that
+    // large cannot be a key).
+    match &key.topology {
+        Topology::Grid(grid) => {
+            h = eat(h, grid.rows() as u64);
+            h = eat(h, grid.cols() as u64);
+        }
+        Topology::GridWithDefects { grid, dead_vertices, dead_edges } => {
+            h = eat(h, u64::MAX);
+            h = eat(h, 1);
+            h = eat(h, grid.rows() as u64);
+            h = eat(h, grid.cols() as u64);
+            for &d in dead_vertices {
+                h = eat(h, d as u64);
+            }
+            h = eat(h, u64::MAX);
+            for &(u, v) in dead_edges {
+                h = eat(h, u as u64);
+                h = eat(h, v as u64);
+            }
+        }
+        Topology::HeavyHex { rows, cols } => {
+            h = eat(h, u64::MAX);
+            h = eat(h, 2);
+            h = eat(h, *rows as u64);
+            h = eat(h, *cols as u64);
+        }
+        Topology::BrickWall { rows, cols } => {
+            h = eat(h, u64::MAX);
+            h = eat(h, 3);
+            h = eat(h, *rows as u64);
+            h = eat(h, *cols as u64);
+        }
+        Topology::Torus { rows, cols } => {
+            h = eat(h, u64::MAX);
+            h = eat(h, 4);
+            h = eat(h, *rows as u64);
+            h = eat(h, *cols as u64);
+        }
+    }
+    key.perm.iter().fold(h, |h, &img| eat(h, img as u64))
+}
+
+/// One cache entry: the key's [`key_hash`], compared before the key.
+type Entry<V> = (u64, CanonicalKey, V);
+
+/// The position of `key`, whose hash is `hash`, in a shard (keys are
+/// unique per shard, and recent entries sit at the end).
+fn position<V>(shard: &[Entry<V>], hash: u64, key: &CanonicalKey) -> Option<usize> {
+    shard.iter().rposition(|(h, k, _)| *h == hash && k == key)
+}
+
 /// A sharded LRU map from [`CanonicalKey`] to a cloneable value.
 ///
 /// Keys are distributed over shards by a *fixed* FNV-1a hash (never the
@@ -393,7 +480,9 @@ impl CacheStats {
 /// run). Each shard orders its entries by recency and evicts its own
 /// least-recently-used entry when it outgrows `capacity / shards`
 /// (rounded up). A shard keeps its entries oldest first and holds each
-/// key at most once, so lookups search it from the most-recent end.
+/// key at most once, so lookups search it from the most-recent end. Each
+/// entry keeps its key's hash, which a lookup compares before the key;
+/// every call hashes its key once.
 /// Lookups touch recency; all counters are atomic, so
 /// shared references can be used concurrently — though the engine
 /// serializes cache decisions on the submit thread precisely so that
@@ -401,7 +490,7 @@ impl CacheStats {
 /// scheduling.
 #[derive(Debug)]
 pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Vec<(CanonicalKey, V)>>>,
+    shards: Vec<Mutex<Vec<Entry<V>>>>,
     per_shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -432,7 +521,172 @@ impl<V: Clone> ShardedLru<V> {
         self.per_shard_capacity * self.shards.len()
     }
 
-    fn shard_index(&self, key: &CanonicalKey) -> usize {
+    fn shard_index(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    /// Lock shard `idx`. With a trace subscriber armed, the wait for the
+    /// shard mutex is measured and emitted as a `cache.shard_lock` event;
+    /// disarmed, this is exactly the bare `lock()` — no clock reads.
+    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<Entry<V>>> {
+        if !qroute_obs::trace::armed() {
+            return self.shards[idx].lock().expect("cache shard poisoned");
+        }
+        let start = std::time::Instant::now();
+        let guard = self.shards[idx].lock().expect("cache shard poisoned");
+        qroute_obs::trace::event(
+            "cache.shard_lock",
+            &[
+                ("shard", qroute_obs::FieldValue::U64(idx as u64)),
+                (
+                    "wait_us",
+                    qroute_obs::FieldValue::U64(start.elapsed().as_micros() as u64),
+                ),
+            ],
+        );
+        guard
+    }
+
+    /// Look up `key`, touching its recency on a hit. A zero-capacity
+    /// cache holds nothing, so it counts the miss without hashing the key
+    /// or taking a lock (it has one shard, so the `cache.miss` event names
+    /// shard 0 either way).
+    pub fn get(&self, key: &CanonicalKey) -> Option<V> {
+        if self.per_shard_capacity == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event("cache.miss", &[("shard", qroute_obs::FieldValue::U64(0))]);
+            return None;
+        }
+        let hash = key_hash(key);
+        let idx = self.shard_index(hash);
+        let mut shard = self.lock_shard(idx);
+        if let Some(pos) = position(&shard, hash, key) {
+            let entry = shard.remove(pos);
+            let value = entry.2.clone();
+            shard.push(entry);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.hit",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+            Some(value)
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.miss",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+            None
+        }
+    }
+
+    /// Insert (or refresh) `key`, evicting the shard's least-recently-used
+    /// entry when the shard exceeds its budget.
+    pub fn insert(&self, key: CanonicalKey, value: V) {
+        if self.per_shard_capacity == 0 {
+            return;
+        }
+        let hash = key_hash(&key);
+        let idx = self.shard_index(hash);
+        let mut shard = self.lock_shard(idx);
+        if let Some(pos) = position(&shard, hash, &key) {
+            shard.remove(pos);
+        }
+        shard.push((hash, key, value));
+        if shard.len() > self.per_shard_capacity {
+            shard.remove(0);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.eviction",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+        }
+    }
+
+    /// Atomic lookup-or-insert: returns `(value, inserted)`, holding the
+    /// shard lock across the check and the insert so two threads racing
+    /// on the same key agree on exactly one inserter.
+    ///
+    /// Counter-compatible with a `get` + `insert` pair — present keys
+    /// count a hit and touch recency; absent keys count a miss, insert
+    /// `make()`, and evict the shard's LRU entry if over budget — so a
+    /// shared concurrent cache reports the same statistics shape the
+    /// engine's serialized get/insert path does. With capacity 0 the
+    /// miss is counted and `make()`'s value returned unstored.
+    pub fn get_or_insert_with(&self, key: CanonicalKey, make: impl FnOnce() -> V) -> (V, bool) {
+        if self.per_shard_capacity == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return (make(), true);
+        }
+        let hash = key_hash(&key);
+        let idx = self.shard_index(hash);
+        let mut shard = self.lock_shard(idx);
+        if let Some(pos) = position(&shard, hash, &key) {
+            let entry = shard.remove(pos);
+            let value = entry.2.clone();
+            shard.push(entry);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.hit",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+            return (value, false);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        qroute_obs::trace::event(
+            "cache.miss",
+            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+        );
+        let value = make();
+        shard.push((hash, key, value.clone()));
+        if shard.len() > self.per_shard_capacity {
+            shard.remove(0);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.eviction",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+        }
+        (value, true)
+    }
+
+    /// Drop `key` from the cache, returning its value if present.
+    /// Touches no hit/miss/eviction counter — the counters describe the
+    /// deterministic lookup/capacity stream, and removal exists for
+    /// *error* eviction (a slot whose compute timed out or panicked must
+    /// not serve later duplicates), which is inherently fault-driven.
+    pub fn remove(&self, key: &CanonicalKey) -> Option<V> {
+        let hash = key_hash(key);
+        let mut shard = self.lock_shard(self.shard_index(hash));
+        let pos = position(&shard, hash, key)?;
+        Some(shard.remove(pos).2)
+    }
+
+    /// Aggregate counters since construction.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Differential references, kept verbatim: the eager dihedral
+/// minimization [`canonicalize_windowed`] replaced (it builds all eight
+/// candidate tables and compares them whole), and the byte-wise shard
+/// hash [`key_hash`] replaced.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The replaced `ShardedLru::shard_index` body, with the shard count
+    /// passed in.
+    pub fn shard_index(key: &CanonicalKey, shards: usize) -> usize {
+        (fnv(key) % shards as u64) as usize
+    }
+
+    pub fn fnv(key: &CanonicalKey) -> u64 {
         // FNV-1a over the key's bytes: deterministic across runs and
         // machines, unlike the std hasher.
         fn eat(h: u64, x: u64) -> u64 {
@@ -445,10 +699,6 @@ impl<V: Clone> ShardedLru<V> {
             .router
             .bytes()
             .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3));
-        // Full grids keep the historical `rows, cols` byte sequence so
-        // shard placement (and therefore eviction grouping) of pure grid
-        // workloads is unchanged; other variants prepend a `u64::MAX` tag
-        // no grid can produce (a row count that large cannot be a key).
         match &key.topology {
             Topology::Grid(grid) => {
                 h = eat(h, grid.rows() as u64);
@@ -490,158 +740,8 @@ impl<V: Clone> ShardedLru<V> {
         for &img in &key.perm {
             h = eat(h, img as u64);
         }
-        (h % self.shards.len() as u64) as usize
+        h
     }
-
-    /// Lock shard `idx`. With a trace subscriber armed, the wait for the
-    /// shard mutex is measured and emitted as a `cache.shard_lock` event;
-    /// disarmed, this is exactly the bare `lock()` — no clock reads.
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<(CanonicalKey, V)>> {
-        if !qroute_obs::trace::armed() {
-            return self.shards[idx].lock().expect("cache shard poisoned");
-        }
-        let start = std::time::Instant::now();
-        let guard = self.shards[idx].lock().expect("cache shard poisoned");
-        qroute_obs::trace::event(
-            "cache.shard_lock",
-            &[
-                ("shard", qroute_obs::FieldValue::U64(idx as u64)),
-                (
-                    "wait_us",
-                    qroute_obs::FieldValue::U64(start.elapsed().as_micros() as u64),
-                ),
-            ],
-        );
-        guard
-    }
-
-    /// Look up `key`, touching its recency on a hit. A zero-capacity
-    /// cache holds nothing, so it counts the miss without hashing the key
-    /// or taking a lock (it has one shard, so the `cache.miss` event names
-    /// shard 0 either way).
-    pub fn get(&self, key: &CanonicalKey) -> Option<V> {
-        if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event("cache.miss", &[("shard", qroute_obs::FieldValue::U64(0))]);
-            return None;
-        }
-        let idx = self.shard_index(key);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().rposition(|(k, _)| k == key) {
-            let entry = shard.remove(pos);
-            let value = entry.1.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            Some(value)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.miss",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            None
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting the shard's least-recently-used
-    /// entry when the shard exceeds its budget.
-    pub fn insert(&self, key: CanonicalKey, value: V) {
-        if self.per_shard_capacity == 0 {
-            return;
-        }
-        let idx = self.shard_index(&key);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().rposition(|(k, _)| *k == key) {
-            shard.remove(pos);
-        }
-        shard.push((key, value));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.eviction",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-        }
-    }
-
-    /// Atomic lookup-or-insert: returns `(value, inserted)`, holding the
-    /// shard lock across the check and the insert so two threads racing
-    /// on the same key agree on exactly one inserter.
-    ///
-    /// Counter-compatible with a `get` + `insert` pair — present keys
-    /// count a hit and touch recency; absent keys count a miss, insert
-    /// `make()`, and evict the shard's LRU entry if over budget — so a
-    /// shared concurrent cache reports the same statistics shape the
-    /// engine's serialized get/insert path does. With capacity 0 the
-    /// miss is counted and `make()`'s value returned unstored.
-    pub fn get_or_insert_with(&self, key: CanonicalKey, make: impl FnOnce() -> V) -> (V, bool) {
-        if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (make(), true);
-        }
-        let idx = self.shard_index(&key);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().rposition(|(k, _)| *k == key) {
-            let entry = shard.remove(pos);
-            let value = entry.1.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            return (value, false);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        qroute_obs::trace::event(
-            "cache.miss",
-            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-        );
-        let value = make();
-        shard.push((key, value.clone()));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.eviction",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-        }
-        (value, true)
-    }
-
-    /// Drop `key` from the cache, returning its value if present.
-    /// Touches no hit/miss/eviction counter — the counters describe the
-    /// deterministic lookup/capacity stream, and removal exists for
-    /// *error* eviction (a slot whose compute timed out or panicked must
-    /// not serve later duplicates), which is inherently fault-driven.
-    pub fn remove(&self, key: &CanonicalKey) -> Option<V> {
-        let mut shard = self.lock_shard(self.shard_index(key));
-        let pos = shard.iter().rposition(|(k, _)| k == key)?;
-        Some(shard.remove(pos).1)
-    }
-
-    /// Aggregate counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The eager dihedral minimization [`canonicalize_windowed`] replaced,
-/// kept verbatim as a differential reference: it builds all eight
-/// candidate tables and compares them whole.
-#[cfg(test)]
-mod reference {
-    use super::*;
 
     pub fn canonicalize_windowed(
         grid: Grid,
@@ -940,6 +1040,74 @@ mod tests {
         assert!(stats.hit_rate().is_finite());
         let fresh: ShardedLru<u64> = ShardedLru::new(8, 2);
         assert_eq!(fresh.stats().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn key_hash_matches_the_bytewise_reference_on_every_topology() {
+        let grid = Grid::new(5, 6);
+        let topologies = [
+            Topology::Grid(grid),
+            Topology::grid(1, 1),
+            Topology::grid(300, 70_000),
+            Topology::grid_with_defects(grid, &[7, 22], &[(0, 1), (13, 19)])
+                .expect("a valid defect pattern"),
+            Topology::heavy_hex(4, 4),
+            Topology::brick_wall(3, 5),
+            Topology::torus(4, 3).expect("a valid torus"),
+        ];
+        // Every byte length of a word, interior zero bytes, and words
+        // whose high bytes are set.
+        let words = [
+            0,
+            1,
+            255,
+            256,
+            0xff00,
+            0x1_0000,
+            0x00ff_00ff,
+            0x1_0000_0000,
+            0x0100_0000_0000_0001,
+            usize::MAX >> 8,
+            usize::MAX,
+        ];
+        let routers = ["", "ats", &format!("{:?}", RouterKind::all_default()[0])];
+        let mut keys = 0;
+        for topology in &topologies {
+            for router in routers {
+                for len in [0, 1, 5, words.len()] {
+                    let key = CanonicalKey {
+                        router: router.to_string(),
+                        topology: topology.clone(),
+                        perm: words
+                            .iter()
+                            .cycle()
+                            .skip(len)
+                            .take(len * 2)
+                            .copied()
+                            .collect(),
+                    };
+                    assert_eq!(key_hash(&key), reference::fnv(&key), "{key:?}");
+                    for shards in 1..=16 {
+                        let lru: ShardedLru<()> = ShardedLru::new(64, shards);
+                        assert_eq!(
+                            lru.shard_index(key_hash(&key)),
+                            reference::shard_index(&key, shards),
+                            "{key:?} over {shards} shards"
+                        );
+                    }
+                    keys += 1;
+                }
+            }
+        }
+        assert_eq!(keys, topologies.len() * routers.len() * 4);
+        // Canonical keys of real instances, translated and reflected.
+        for seed in 0..40 {
+            let side = 6 + seed as usize % 11;
+            let grid = Grid::new(side, side);
+            let pi = generators::random(grid.len(), seed);
+            let key = canonicalize(grid, &pi).key("ats");
+            assert_eq!(key_hash(&key), reference::fnv(&key), "seed {seed}");
+        }
     }
 
     fn key(tag: usize) -> CanonicalKey {

@@ -68,6 +68,7 @@ use crate::job::{CacheStatus, RouteJob, RouteOutcome};
 use qroute_core::budget::RouteBudget;
 use qroute_obs::{Counter, Gauge, Log2Histogram, Registry};
 use serde::Serialize;
+use serde_json::{Tape, ValueRef};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -491,7 +492,14 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         if trimmed.is_empty() {
             continue; // blank lines consume no id, exactly like batch
         }
-        if let Some(response) = control_response(trimmed, &shared) {
+        // One parse per line: the control check and the job both read
+        // this tape.
+        let parsed = Tape::parse(trimmed);
+        if let Some(response) = parsed
+            .as_ref()
+            .ok()
+            .and_then(|tape| control_response(tape.root(), &shared))
+        {
             if sender.send(ConnItem::Control(response)).is_err() {
                 break;
             }
@@ -501,8 +509,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         let start = Instant::now();
         let id = next_id;
         next_id += 1;
-        // Admission control *before* parsing: a flooding client is
-        // rejected at O(1) cost, in order, never hung.
+        // Admission control *before* the job is read: a flooding client
+        // is rejected in order, never hung.
         let limit = shared.config.client_queue_depth;
         if in_flight.load(Ordering::SeqCst) >= limit {
             let outcome =
@@ -517,7 +525,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
             continue;
         }
 
-        let item = match RouteJob::from_json_line(trimmed) {
+        let item = match RouteJob::from_parsed(&parsed) {
             Err(e) => {
                 shared.stats.jobs_errored.inc();
                 ConnItem::Ready {
@@ -603,11 +611,11 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
     let _ = reader.get_ref().shutdown(Shutdown::Both);
 }
 
-/// Handle `{"req": ...}` control lines; `None` means the line is a job.
-fn control_response(line: &str, shared: &Arc<DaemonShared>) -> Option<String> {
-    let doc = serde_json::from_str(line).ok()?;
+/// Handle `{"req": ...}` control lines (the first `req` key, compared
+/// unescaped); `None` means the line is a job.
+fn control_response(doc: ValueRef<'_>, shared: &Arc<DaemonShared>) -> Option<String> {
     let req = doc.get("req")?;
-    Some(match req.as_str() {
+    Some(match req.as_str().as_deref() {
         Some("stats") => {
             let mut out = String::from("{\"stats\":");
             shared.snapshot().write_json(&mut out);

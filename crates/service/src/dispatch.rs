@@ -300,6 +300,13 @@ mod tests {
                 assert_scans_match(grid, &pi, &format!("random {side} seed {seed}"));
             }
         }
+        // Every token of this 3×3 instance moves exactly 2, so the volume
+        // term ⌈18/8⌉ = 3 of the lower bound binds, above the max
+        // displacement.
+        let grid = Grid::new(3, 3);
+        let pi = Permutation::from_vec(vec![2, 5, 8, 1, 0, 7, 4, 3, 6]).expect("a permutation");
+        assert_eq!(reference::depth_lower_bound(grid, &pi), 3);
+        assert_scans_match(grid, &pi, "the volume-bound 3x3 instance");
     }
 
     #[test]

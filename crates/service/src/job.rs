@@ -42,6 +42,8 @@ use crate::errors::ServiceError;
 use qroute_core::RouterKind;
 use qroute_perm::{generators, Permutation};
 use qroute_topology::{Grid, Topology};
+use serde_json::{Entries, Tape, ValueRef};
+use std::borrow::Cow;
 
 /// Largest accepted grid side. Side 1024 means 1024² = 2²⁰ ≈ 1.05
 /// million qubits — far beyond any near-term grid. The cap turns absurd
@@ -185,11 +187,39 @@ impl RouteJob {
     /// errors (which the engine turns into per-job error outcomes rather
     /// than aborting the batch). A `"v"` field naming a version other
     /// than [`WIRE_VERSION`] is its own error kind
-    /// ([`ServiceError::Version`]) so clients can branch on it.
+    /// ([`ServiceError::Version`]) so clients can branch on it. A
+    /// repeated key keeps its first value, and keys are compared after
+    /// unescaping.
     pub fn from_json_line(line: &str) -> Result<RouteJob, ServiceError> {
-        let doc = serde_json::from_str(line).map_err(|e| ServiceError::Parse(e.to_string()))?;
-        let v = parse_version(&doc)?;
-        parse_job_fields(&doc, v).map_err(ServiceError::Parse)
+        RouteJob::from_parsed(&Tape::parse(line))
+    }
+
+    /// Read a job from a line already parsed into a tape, or from the
+    /// line's parse error. The fields are read straight off the tape,
+    /// each object in one pass; no `Value` tree is built. (The daemon
+    /// parses each line once and reads both its control check and the
+    /// job from the same tape.)
+    pub(crate) fn from_parsed(
+        parsed: &Result<Tape<'_>, serde_json::Error>,
+    ) -> Result<RouteJob, ServiceError> {
+        let doc = parsed
+            .as_ref()
+            .map_err(|e| ServiceError::Parse(e.to_string()))?
+            .root();
+        let Some(entries) = doc.entries() else {
+            return Err(ServiceError::Parse(
+                "job line must be a JSON object".to_string(),
+            ));
+        };
+        let (fields, unknown) = read_fields(entries, JOB_FIELDS);
+        let v = parse_version(fields[0])?;
+        if let Some(field) = unknown {
+            return Err(ServiceError::Parse(format!(
+                "unknown job field {field:?} (expected v, side, router, perm, class, seed, \
+                 topology, deadline_ms)"
+            )));
+        }
+        parse_job_fields(fields, v).map_err(ServiceError::Parse)
     }
 
     /// Materialize the instance: the topology and a validated
@@ -237,12 +267,50 @@ fn parse_router(s: &str) -> Result<RouterSpec, String> {
     }
 }
 
-/// Extract and check the optional `"v"` field. Absent means
-/// [`WIRE_VERSION`]; any other declared version is a
-/// [`ServiceError::Version`] so the outcome's `"code"` lets clients
-/// tell "wrong protocol" apart from "malformed job".
-fn parse_version(doc: &serde_json::Value) -> Result<Option<u64>, ServiceError> {
-    match doc.get("v") {
+/// The job fields, in the order the unknown-field error lists them.
+const JOB_FIELDS: [&str; 8] = [
+    "v",
+    "side",
+    "router",
+    "perm",
+    "class",
+    "seed",
+    "topology",
+    "deadline_ms",
+];
+
+/// The `"topology"` fields, in the order the unknown-field error lists
+/// them.
+const TOPOLOGY_FIELDS: [&str; 3] = ["kind", "defects", "dead_edges"];
+
+/// Read an object's entries once: the first value of each field in
+/// `names` (a repeated key keeps its first value) and the first key that
+/// is not among them. Keys are compared unescaped.
+fn read_fields<'t, const N: usize>(
+    entries: Entries<'t>,
+    names: [&str; N],
+) -> ([Option<ValueRef<'t>>; N], Option<Cow<'t, str>>) {
+    let mut fields = [None; N];
+    let mut unknown = None;
+    for (key, value) in entries {
+        match names.iter().position(|name| *name == key) {
+            Some(i) => {
+                fields[i].get_or_insert(value);
+            }
+            None => {
+                unknown.get_or_insert(key);
+            }
+        }
+    }
+    (fields, unknown)
+}
+
+/// Check the optional `"v"` field. Absent means [`WIRE_VERSION`]; any
+/// other declared version is a [`ServiceError::Version`] so the
+/// outcome's `"code"` lets clients tell "wrong protocol" apart from
+/// "malformed job".
+fn parse_version(v: Option<ValueRef<'_>>) -> Result<Option<u64>, ServiceError> {
+    match v {
         None => Ok(None),
         Some(raw) => {
             let v = raw.as_u64().ok_or_else(|| {
@@ -256,70 +324,48 @@ fn parse_version(doc: &serde_json::Value) -> Result<Option<u64>, ServiceError> {
     }
 }
 
-/// The version-agnostic part of job-line parsing (everything but `"v"`,
-/// which [`parse_version`] has already validated).
-fn parse_job_fields(doc: &serde_json::Value, v: Option<u64>) -> Result<RouteJob, String> {
-    let serde_json::Value::Object(entries) = doc else {
-        return Err("job line must be a JSON object".to_string());
-    };
-    for (field, _) in entries {
-        if !matches!(
-            field.as_str(),
-            "v" | "side" | "router" | "perm" | "class" | "seed" | "topology" | "deadline_ms"
-        ) {
-            return Err(format!(
-                "unknown job field {field:?} (expected v, side, router, perm, class, seed, \
-                 topology, deadline_ms)"
-            ));
-        }
-    }
-    let side = doc
-        .get("side")
-        .and_then(|v| v.as_u64())
+/// The version-agnostic part of job-line parsing: every field but
+/// `"v"`, which [`parse_version`] has already validated.
+fn parse_job_fields(
+    fields: [Option<ValueRef<'_>>; JOB_FIELDS.len()],
+    v: Option<u64>,
+) -> Result<RouteJob, String> {
+    let [_, side, router, perm, class, seed, topology, deadline_ms] = fields;
+    let side = side
+        .and_then(ValueRef::as_u64)
         .ok_or("job needs an integer \"side\"")? as usize;
     if side == 0 {
         return Err("\"side\" must be at least 1".to_string());
     }
-    let router = match doc.get("router") {
+    let router = match router {
         None => None,
         Some(r) => Some(parse_router(
-            r.as_str().ok_or("\"router\" must be a string")?,
+            &r.as_str().ok_or("\"router\" must be a string")?,
         )?),
     };
-    let perm = match (doc.get("perm"), doc.get("class")) {
+    let perm = match (perm, class) {
         (Some(_), Some(_)) => {
             return Err("job has both \"perm\" and \"class\"; pick one".to_string())
         }
         (None, None) => return Err("job needs either \"perm\" or \"class\"".to_string()),
         (Some(p), None) => {
-            if doc.get("seed").is_some() {
+            if seed.is_some() {
                 return Err("\"seed\" only applies to class jobs".to_string());
             }
-            let table = p
-                .as_array()
-                .ok_or("\"perm\" must be an array of integers")?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .map(|v| v as usize)
-                        .ok_or_else(|| "\"perm\" must be an array of integers".to_string())
-                })
-                .collect::<Result<Vec<usize>, String>>()?;
-            PermSpec::Explicit(table)
+            PermSpec::Explicit(integers(p, "\"perm\" must be an array of integers")?)
         }
         (None, Some(c)) => PermSpec::Class {
-            label: c.as_str().ok_or("\"class\" must be a string")?.to_string(),
-            seed: doc
-                .get("seed")
-                .and_then(|v| v.as_u64())
+            label: c.as_str().ok_or("\"class\" must be a string")?.into_owned(),
+            seed: seed
+                .and_then(ValueRef::as_u64)
                 .ok_or("class jobs need an integer \"seed\"")?,
         },
     };
-    let topology = match doc.get("topology") {
+    let topology = match topology {
         None => TopologySpec::Grid,
         Some(t) => parse_topology(t)?,
     };
-    let deadline_ms = match doc.get("deadline_ms") {
+    let deadline_ms = match deadline_ms {
         None => None,
         Some(d) => {
             let ms = d
@@ -334,67 +380,68 @@ fn parse_job_fields(doc: &serde_json::Value, v: Option<u64>) -> Result<RouteJob,
     Ok(RouteJob { side, router, perm, topology, v, deadline_ms })
 }
 
+/// An array of non-negative integers, read into one exact-sized `Vec`;
+/// anything else is `error`.
+fn integers(value: ValueRef<'_>, error: &str) -> Result<Vec<usize>, String> {
+    let elements = value.elements().ok_or(error)?;
+    let mut out = Vec::with_capacity(elements.size_hint().1.unwrap_or(0));
+    for x in elements {
+        out.push(x.as_u64().ok_or(error)? as usize);
+    }
+    Ok(out)
+}
+
 /// Parse the `"topology"` object. Strict like the job line itself:
 /// unknown fields, defect lists on non-defect kinds, and malformed
 /// values are all errors.
-fn parse_topology(value: &serde_json::Value) -> Result<TopologySpec, String> {
-    let serde_json::Value::Object(entries) = value else {
+fn parse_topology(value: ValueRef<'_>) -> Result<TopologySpec, String> {
+    let Some(entries) = value.entries() else {
         return Err("\"topology\" must be a JSON object".to_string());
     };
-    for (field, _) in entries {
-        if !matches!(field.as_str(), "kind" | "defects" | "dead_edges") {
-            return Err(format!(
-                "unknown topology field {field:?} (expected kind, defects, dead_edges)"
-            ));
-        }
+    let ([kind, defects, dead_edges], unknown) = read_fields(entries, TOPOLOGY_FIELDS);
+    if let Some(field) = unknown {
+        return Err(format!(
+            "unknown topology field {field:?} (expected kind, defects, dead_edges)"
+        ));
     }
-    let kind = value
-        .get("kind")
-        .and_then(|v| v.as_str())
+    let kind = kind
+        .and_then(ValueRef::as_str)
         .ok_or("\"topology\" needs a string \"kind\"")?;
-    let has_defect_fields = value.get("defects").is_some() || value.get("dead_edges").is_some();
-    if kind != "defect" && has_defect_fields {
+    if kind != "defect" && (defects.is_some() || dead_edges.is_some()) {
         return Err(format!(
             "\"defects\"/\"dead_edges\" only apply to kind \"defect\", not {kind:?}"
         ));
     }
-    match kind {
+    match &*kind {
         "grid" => Ok(TopologySpec::Grid),
         "heavy-hex" => Ok(TopologySpec::HeavyHex),
         "brick" => Ok(TopologySpec::Brick),
         "torus" => Ok(TopologySpec::Torus),
         "defect" => {
-            let defects = match value.get("defects") {
+            let defects = match defects {
                 None => Vec::new(),
-                Some(d) => d
-                    .as_array()
-                    .ok_or("\"defects\" must be an array of integers")?
-                    .iter()
-                    .map(|x| {
-                        x.as_u64()
-                            .map(|v| v as usize)
-                            .ok_or_else(|| "\"defects\" must be an array of integers".to_string())
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?,
+                Some(d) => integers(d, "\"defects\" must be an array of integers")?,
             };
-            let dead_edges = match value.get("dead_edges") {
+            let dead_edges = match dead_edges {
                 None => Vec::new(),
-                Some(e) => e
-                    .as_array()
-                    .ok_or("\"dead_edges\" must be an array of [u, v] pairs")?
-                    .iter()
-                    .map(|pair| {
-                        // Every element must be an integer: one that is not
-                        // rejects the pair instead of dropping out of it.
-                        let ints: Option<Vec<usize>> = pair.as_array().and_then(|xs| {
-                            xs.iter().map(|x| x.as_u64().map(|v| v as usize)).collect()
-                        });
-                        match ints.as_deref() {
-                            Some([u, v]) => Ok((*u, *v)),
-                            _ => Err("\"dead_edges\" must be an array of [u, v] pairs".to_string()),
+                Some(e) => {
+                    const PAIRS: &str = "\"dead_edges\" must be an array of [u, v] pairs";
+                    let pairs = e.elements().ok_or(PAIRS)?;
+                    let mut out = Vec::with_capacity(pairs.size_hint().1.unwrap_or(0) / 3);
+                    for pair in pairs {
+                        // Exactly two elements, each an integer: one that
+                        // is not rejects the pair instead of dropping out
+                        // of it.
+                        let mut xs = pair.elements().ok_or(PAIRS)?.map(ValueRef::as_u64);
+                        match (xs.next(), xs.next(), xs.next()) {
+                            (Some(Some(u)), Some(Some(v)), None) => {
+                                out.push((u as usize, v as usize))
+                            }
+                            _ => return Err(PAIRS.to_string()),
                         }
-                    })
-                    .collect::<Result<Vec<(usize, usize)>, String>>()?,
+                    }
+                    out
+                }
             };
             Ok(TopologySpec::Defect { defects, dead_edges })
         }
@@ -625,6 +672,10 @@ impl serde::Serialize for RouteOutcome {
         out.push('}');
     }
 }
+
+#[cfg(test)]
+#[path = "job_reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -251,6 +251,37 @@ fn stats_and_shutdown_control_requests_work_over_the_wire() {
 }
 
 #[test]
+fn control_lines_and_jobs_are_told_apart_on_one_connection() {
+    // The daemon parses each line once and reads both the control check
+    // and the job from that parse; a control key is compared unescaped.
+    let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::builder().build().unwrap()).unwrap();
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    let job = r#"{"side": 4, "router": "ats", "class": "random", "seed": 0}"#;
+    let malformed = r#"{"side": 4, "router": "ats", "class": "random", "seed": 0,}"#;
+    for line in [
+        job,
+        r#"{"req":"stats"}"#,
+        r#"{"\u0072eq":"stats"}"#,
+        malformed,
+    ] {
+        client.send_line(line).expect("send a line");
+    }
+    let mut recv = || client.recv_line().expect("read a line").expect("a line");
+    assert_eq!(
+        recv(),
+        r#"{"id":0,"side":4,"router":"ats","cache":"miss","depth":11,"size":27,"lower_bound":4,"time_ms":null,"code":null,"error":null}"#
+    );
+    for _ in 0..2 {
+        let stats = recv();
+        assert!(stats.starts_with(r#"{"stats":{"jobs_routed":"#), "{stats}");
+    }
+    assert_eq!(
+        recv(),
+        r#"{"id":1,"side":null,"router":null,"cache":null,"depth":null,"size":null,"lower_bound":null,"time_ms":null,"code":"parse","error":"JSON error: expected '\"' at byte 58"}"#
+    );
+}
+
+#[test]
 fn a_client_dying_mid_stream_leaves_the_daemon_healthy() {
     let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::builder().build().unwrap()).unwrap();
     let addr = daemon.local_addr();
