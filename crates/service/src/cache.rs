@@ -547,37 +547,66 @@ impl<V: Clone> ShardedLru<V> {
         guard
     }
 
+    /// Count a miss, and trace it against shard `idx`.
+    fn miss(&self, idx: usize) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        qroute_obs::trace::event(
+            "cache.miss",
+            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+        );
+    }
+
+    /// Look `key` up in its locked shard `idx`: a hit moves the entry to
+    /// the most-recent end and counts; a miss counts.
+    fn touch(
+        &self,
+        shard: &mut Vec<Entry<V>>,
+        idx: usize,
+        hash: u64,
+        key: &CanonicalKey,
+    ) -> Option<V> {
+        let Some(pos) = position(shard, hash, key) else {
+            self.miss(idx);
+            return None;
+        };
+        let entry = shard.remove(pos);
+        let value = entry.2.clone();
+        shard.push(entry);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        qroute_obs::trace::event(
+            "cache.hit",
+            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+        );
+        Some(value)
+    }
+
+    /// Append `entry` to its locked shard `idx` as the most recent,
+    /// evicting the shard's least-recently-used entry when the shard
+    /// exceeds its budget.
+    fn push(&self, shard: &mut Vec<Entry<V>>, idx: usize, entry: Entry<V>) {
+        shard.push(entry);
+        if shard.len() > self.per_shard_capacity {
+            shard.remove(0);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            qroute_obs::trace::event(
+                "cache.eviction",
+                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
+            );
+        }
+    }
+
     /// Look up `key`, touching its recency on a hit. A zero-capacity
     /// cache holds nothing, so it counts the miss without hashing the key
     /// or taking a lock (it has one shard, so the `cache.miss` event names
     /// shard 0 either way).
     pub fn get(&self, key: &CanonicalKey) -> Option<V> {
         if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event("cache.miss", &[("shard", qroute_obs::FieldValue::U64(0))]);
+            self.miss(0);
             return None;
         }
         let hash = key_hash(key);
         let idx = self.shard_index(hash);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = position(&shard, hash, key) {
-            let entry = shard.remove(pos);
-            let value = entry.2.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            Some(value)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.miss",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            None
-        }
+        self.touch(&mut self.lock_shard(idx), idx, hash, key)
     }
 
     /// Insert (or refresh) `key`, evicting the shard's least-recently-used
@@ -592,61 +621,31 @@ impl<V: Clone> ShardedLru<V> {
         if let Some(pos) = position(&shard, hash, &key) {
             shard.remove(pos);
         }
-        shard.push((hash, key, value));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.eviction",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-        }
+        self.push(&mut shard, idx, (hash, key, value));
     }
 
     /// Atomic lookup-or-insert: returns `(value, inserted)`, holding the
     /// shard lock across the check and the insert so two threads racing
     /// on the same key agree on exactly one inserter.
     ///
-    /// Counter-compatible with a `get` + `insert` pair — present keys
-    /// count a hit and touch recency; absent keys count a miss, insert
-    /// `make()`, and evict the shard's LRU entry if over budget — so a
-    /// shared concurrent cache reports the same statistics shape the
-    /// engine's serialized get/insert path does. With capacity 0 the
-    /// miss is counted and `make()`'s value returned unstored.
-    pub fn get_or_insert_with(&self, key: CanonicalKey, make: impl FnOnce() -> V) -> (V, bool) {
+    /// Counter- and trace-compatible with a `get` + `insert` pair —
+    /// present keys count a hit and touch recency; absent keys count a
+    /// miss, insert `make()` under a clone of `key` (the only clone), and
+    /// evict the shard's LRU entry if over budget. With capacity 0 the
+    /// miss is counted and traced and `make()`'s value returned unstored.
+    pub fn get_or_insert_with(&self, key: &CanonicalKey, make: impl FnOnce() -> V) -> (V, bool) {
         if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.miss(0);
             return (make(), true);
         }
-        let hash = key_hash(&key);
+        let hash = key_hash(key);
         let idx = self.shard_index(hash);
         let mut shard = self.lock_shard(idx);
-        if let Some(pos) = position(&shard, hash, &key) {
-            let entry = shard.remove(pos);
-            let value = entry.2.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
+        if let Some(value) = self.touch(&mut shard, idx, hash, key) {
             return (value, false);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        qroute_obs::trace::event(
-            "cache.miss",
-            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-        );
         let value = make();
-        shard.push((hash, key, value.clone()));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.eviction",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-        }
+        self.push(&mut shard, idx, (hash, key.clone(), value.clone()));
         (value, true)
     }
 
@@ -1157,24 +1156,53 @@ mod tests {
         assert_eq!(lru.get(&key(0)), None);
         assert_eq!(lru.stats().misses, 1);
         assert_eq!(lru.stats().hits, 0);
-        assert_eq!(lru.get_or_insert_with(key(0), || 2), (2, true));
+        assert_eq!(lru.get_or_insert_with(&key(0), || 2), (2, true));
         assert_eq!(lru.get(&key(0)), None, "nothing is ever stored");
     }
 
     #[test]
     fn get_or_insert_matches_get_plus_insert_counters() {
         let lru: ShardedLru<usize> = ShardedLru::new(2, 1);
-        assert_eq!(lru.get_or_insert_with(key(0), || 10), (10, true));
-        assert_eq!(lru.get_or_insert_with(key(0), || 99), (10, false));
-        assert_eq!(lru.get_or_insert_with(key(1), || 11), (11, true));
+        assert_eq!(lru.get_or_insert_with(&key(0), || 10), (10, true));
+        assert_eq!(lru.get_or_insert_with(&key(0), || 99), (10, false));
+        assert_eq!(lru.get_or_insert_with(&key(1), || 11), (11, true));
         // key(0) was touched by its hit, so key(1) is... no: the hit on
         // key(0) predates key(1)'s insert, making key(0) the LRU entry.
-        assert_eq!(lru.get_or_insert_with(key(2), || 12), (12, true));
+        assert_eq!(lru.get_or_insert_with(&key(2), || 12), (12, true));
         let stats = lru.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
         assert_eq!(lru.get(&key(0)), None, "LRU entry evicted");
         assert_eq!(lru.get(&key(1)), Some(11));
         assert_eq!(lru.get(&key(2)), Some(12));
+    }
+
+    #[test]
+    fn both_lookups_trace_one_miss_per_counted_miss() {
+        use qroute_obs::trace::{with_subscriber, MemorySubscriber, Subscriber};
+        use std::sync::Arc;
+        // At capacity 0 every one of the six calls misses; at capacity 8
+        // only the first lookup of each key does.
+        for (capacity, misses) in [(0, 6), (8, 3)] {
+            let lru: ShardedLru<usize> = ShardedLru::new(capacity, 8);
+            let subscriber = Arc::new(MemorySubscriber::new());
+            with_subscriber(Arc::clone(&subscriber) as Arc<dyn Subscriber>, || {
+                lru.get(&key(0));
+                lru.get_or_insert_with(&key(1), || 1);
+                lru.get_or_insert_with(&key(1), || 1);
+                lru.get(&key(1));
+                lru.get_or_insert_with(&key(0), || 0);
+                lru.get(&key(0));
+            });
+            let traced = |name: &str| {
+                let prefix = format!("{{\"name\":\"{name}\"");
+                let lines = subscriber.lines();
+                lines.iter().filter(|l| l.starts_with(&prefix)).count() as u64
+            };
+            let stats = lru.stats();
+            assert_eq!(stats.misses, misses, "capacity {capacity}");
+            assert_eq!(traced("cache.miss"), stats.misses, "capacity {capacity}");
+            assert_eq!(traced("cache.hit"), stats.hits, "capacity {capacity}");
+        }
     }
 
     #[test]
@@ -1196,7 +1224,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..OPS {
                         let tag = (i + t) % DISTINCT;
-                        let (value, _) = lru.get_or_insert_with(key(tag), || tag * 7);
+                        let (value, _) = lru.get_or_insert_with(&key(tag), || tag * 7);
                         assert_eq!(value, tag * 7, "racing inserters must agree");
                     }
                 })

@@ -5,13 +5,25 @@
 //!
 //! ```text
 //!  reader thread (one per connection)
-//!    read line → admission check → parse/resolve → plan (canonicalize)
-//!      → per-shard-locked shared cache get_or_insert → dispatch miss
-//!      → enqueue wait-ticket on the connection's ordered channel ──┐
-//!  worker pool (shared, routes canonical instances)                │
-//!  writer thread (one per connection)                              │
-//!    pop ticket → wait on its slot → write outcome line  ◄─────────┘
+//!    read line → strip its terminator → control check → admission check
+//!      → parse/resolve → plan (canonicalize) → mirror get_or_insert
+//!      → Core::admit: deadline from this line → shared cache
+//!        get_or_insert (per-shard lock) → dispatch if inserted
+//!      → enqueue the admitted job on the connection's ordered channel ─┐
+//!  worker pool (shared, routes canonical instances)                    │
+//!  writer thread (one per connection)                                  │
+//!    pop job → Admitted::wait → Admitted::outcome → count → write  ◄───┘
 //! ```
+//!
+//! `Core::admit`, `Admitted::wait` and `Admitted::outcome` are the
+//! in-process [`Engine`](crate::Engine)'s own admission path; only the
+//! status source (the mirror), the deadline's start and the absence of a
+//! replay stay here. Each line is parsed as sent: the reader strips only
+//! its terminator (`\n`, then one `\r`, as `str::lines` does for `repro
+//! batch`), so a malformed line's error names the same byte as in batch
+//! output, and a whitespace-only line consumes no id. The writer counts
+//! each outcome just before writing it, so a client that has read its
+//! last line also sees it in the stats.
 //!
 //! **Concurrency without losing determinism.** Unlike the in-process
 //! [`Engine`](crate::Engine), nothing serializes on a global submit
@@ -52,20 +64,20 @@
 //!
 //! **Deadlines.** A job line may carry `"deadline_ms"`; jobs without one
 //! inherit the daemon's `default_deadline_ms` (when set). The deadline
-//! is measured from admission: if it passes before the route finishes,
-//! the job gets a `timeout` error outcome, the compute is cooperatively
-//! cancelled at its next routing-round checkpoint, and the key is
-//! evicted so a later duplicate recomputes. Later jobs on the same
+//! is measured from admission, when the reader took the line (the
+//! in-process engine counts from `submit`): if it passes before the
+//! route finishes, the job gets a `timeout` error outcome, the compute is
+//! cooperatively cancelled at its next routing-round checkpoint, and the
+//! key is evicted so a later duplicate recomputes. Later jobs on the same
 //! connection are unaffected.
 //!
 //! The daemon always runs with timing capture off (`time_ms` is `null`),
 //! keeping outcome bytes deterministic and batch-identical.
 
 use crate::cache::ShardedLru;
-use crate::engine::{plan_route, EngineConfig, RouteSlot, WorkItem, WorkerPool};
+use crate::engine::{plan_route, Admitted, Core, EngineConfig};
 use crate::errors::ServiceError;
 use crate::job::{CacheStatus, RouteJob, RouteOutcome};
-use qroute_core::budget::RouteBudget;
 use qroute_obs::{Counter, Gauge, Log2Histogram, Registry};
 use serde::Serialize;
 use serde_json::{Tape, ValueRef};
@@ -76,7 +88,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Jobs routed per router kind, one row of [`StatsSnapshot::routers`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -217,6 +229,19 @@ impl DaemonStats {
             .clone()
     }
 
+    /// Count one outcome, just before its line is written.
+    fn count(&self, outcome: &RouteOutcome) {
+        match outcome.code {
+            None => self.jobs_routed.inc(),
+            Some(code) => {
+                self.jobs_errored.inc();
+                if code == "timeout" {
+                    self.timeouts.inc();
+                }
+            }
+        }
+    }
+
     fn record_latency(&self, since: Instant) {
         let us = since.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.latency_us.record(us);
@@ -233,9 +258,7 @@ impl DaemonStats {
 /// State shared by the accept loop, every connection thread, and the
 /// [`Daemon`] handle.
 struct DaemonShared {
-    config: EngineConfig,
-    cache: Arc<ShardedLru<Arc<RouteSlot>>>,
-    pool: WorkerPool,
+    core: Core,
     stats: DaemonStats,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -267,7 +290,7 @@ impl DaemonShared {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let cache = self.cache.stats();
+        let cache = self.core.cache.stats();
         StatsSnapshot {
             jobs_routed: self.stats.jobs_routed.get(),
             jobs_errored: self.stats.jobs_errored.get(),
@@ -290,7 +313,7 @@ impl DaemonShared {
             latency_p50_ms: self.stats.latency_quantile_ms(0.50),
             latency_p99_ms: self.stats.latency_quantile_ms(0.99),
             timeouts: self.stats.timeouts.get(),
-            worker_restarts: self.pool.restarts(),
+            worker_restarts: self.core.pool.restarts(),
             retries_observed: self.stats.retries.get(),
         }
     }
@@ -299,11 +322,11 @@ impl DaemonShared {
     /// owned outside [`DaemonStats`] (shared cache, pool supervisor)
     /// mirrored in first. Served by `{"req": "metrics"}`.
     fn prometheus(&self) -> String {
-        let cache = self.cache.stats();
+        let cache = self.core.cache.stats();
         self.stats.cache_hits.set(cache.hits);
         self.stats.cache_misses.set(cache.misses);
         self.stats.cache_evictions.set(cache.evictions);
-        self.stats.worker_restarts.set(self.pool.restarts());
+        self.stats.worker_restarts.set(self.core.pool.restarts());
         self.stats.registry.to_prometheus()
     }
 }
@@ -318,25 +341,8 @@ enum ConnItem {
         counted: bool,
         start: Instant,
     },
-    /// A routed job waiting on its (possibly shared) slot.
-    Wait {
-        id: u64,
-        side: usize,
-        v: Option<u64>,
-        router: &'static str,
-        cache: CacheStatus,
-        lower_bound: usize,
-        slot: Arc<RouteSlot>,
-        start: Instant,
-        /// When to stop waiting (the job's `deadline_ms`, or the
-        /// daemon-wide default, measured from admission).
-        deadline: Option<Instant>,
-        /// The same deadline in milliseconds, for the error payload.
-        deadline_ms: Option<u64>,
-        /// Whether *this connection* dispatched the slot's compute (a
-        /// wait-side timeout may only cancel a compute it owns).
-        dispatched: bool,
-    },
+    /// An admitted job waiting on its (possibly shared) slot.
+    Wait { job: Admitted, start: Instant },
     /// A control response line, written verbatim.
     Control(String),
 }
@@ -355,16 +361,12 @@ impl Daemon {
     /// test port) and start serving. Timing capture is forced off so
     /// outcome bytes stay deterministic and batch-identical.
     pub fn bind(addr: impl ToSocketAddrs, config: EngineConfig) -> Result<Daemon, ServiceError> {
-        let config = EngineConfig { timing: false, ..config };
         let listener = TcpListener::bind(addr).map_err(|e| ServiceError::Io(e.to_string()))?;
         let addr = listener
             .local_addr()
             .map_err(|e| ServiceError::Io(e.to_string()))?;
-        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
         let shared = Arc::new(DaemonShared {
-            pool: WorkerPool::spawn(&config, Arc::clone(&cache)),
-            cache,
-            config,
+            core: Core::new(EngineConfig { timing: false, ..config }),
             stats: DaemonStats::new(),
             shutdown: AtomicBool::new(false),
             addr,
@@ -453,7 +455,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
     // ×2: admitted jobs can occupy at most `client_queue_depth` entries,
     // and rejections/control responses need room to flow out without
     // stalling the reader ahead of the admission check.
-    let (sender, receiver) = sync_channel::<ConnItem>(shared.config.client_queue_depth.max(1) * 2);
+    let config = &shared.core.config;
+    let (sender, receiver) = sync_channel::<ConnItem>(config.client_queue_depth.max(1) * 2);
     // The per-connection admission gauge: reader increments on admit,
     // writer decrements as outcomes leave.
     let in_flight = Arc::new(AtomicUsize::new(0));
@@ -466,8 +469,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
     // The mirror cache that makes this connection's hit/miss statuses —
     // and therefore its outcome bytes — identical to a single-threaded
     // batch run of the same stream.
-    let mirror: ShardedLru<()> =
-        ShardedLru::new(shared.config.cache_capacity, shared.config.cache_shards);
+    let mirror: ShardedLru<()> = ShardedLru::new(config.cache_capacity, config.cache_shards);
     let mut next_id: u64 = 0;
 
     let mut reader = BufReader::new(stream);
@@ -482,19 +484,22 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         // e.g. a client that died mid-write) is dropped silently: the
         // sender never finished the request, and answering a fragment
         // would desynchronize ids for a resubmitting client.
-        if !line.ends_with('\n') {
+        let Some(text) = line.strip_suffix('\n') else {
             break;
-        }
+        };
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        // Strip only the terminator, as `str::lines` does for `repro
+        // batch`, and parse the rest as sent: a malformed line's error
+        // names the same byte batch names.
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if text.trim().is_empty() {
             continue; // blank lines consume no id, exactly like batch
         }
         // One parse per line: the control check and the job both read
         // this tape.
-        let parsed = Tape::parse(trimmed);
+        let parsed = Tape::parse(text);
         if let Some(response) = parsed
             .as_ref()
             .ok()
@@ -511,11 +516,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         next_id += 1;
         // Admission control *before* the job is read: a flooding client
         // is rejected in order, never hung.
-        let limit = shared.config.client_queue_depth;
+        let limit = config.client_queue_depth;
         if in_flight.load(Ordering::SeqCst) >= limit {
             let outcome =
                 RouteOutcome::from_error(id, None, None, &ServiceError::Backpressure { limit });
-            shared.stats.jobs_errored.inc();
             if sender
                 .send(ConnItem::Ready { outcome, counted: false, start })
                 .is_err()
@@ -526,70 +530,30 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         }
 
         let item = match RouteJob::from_parsed(&parsed) {
-            Err(e) => {
-                shared.stats.jobs_errored.inc();
-                ConnItem::Ready {
-                    outcome: RouteOutcome::from_error(id, None, None, &e),
+            Err(e) => ConnItem::Ready {
+                outcome: RouteOutcome::from_error(id, None, None, &e),
+                counted: true,
+                start,
+            },
+            Ok(job) => match plan_route(&job, &config.default_router) {
+                Err(e) => ConnItem::Ready {
+                    outcome: RouteOutcome::from_error(id, Some(job.side), job.v, &e),
                     counted: true,
                     start,
-                }
-            }
-            Ok(job) => match plan_route(&job, &shared.config.default_router) {
-                Err(e) => {
-                    shared.stats.jobs_errored.inc();
-                    ConnItem::Ready {
-                        outcome: RouteOutcome::from_error(id, Some(job.side), job.v, &e),
-                        counted: true,
-                        start,
-                    }
-                }
+                },
                 Ok(plan) => {
                     shared.stats.dispatch_counter(plan.router.label()).inc();
-                    let deadline_ms = job.deadline_ms.or(shared.config.default_deadline_ms);
-                    let deadline = deadline_ms.map(|ms| start + Duration::from_millis(ms));
-                    // Mirror first (connection-deterministic status),
-                    // then the shared cache (cross-connection compute
-                    // dedup).
-                    let (_, mirror_inserted) = mirror.get_or_insert_with(plan.key.clone(), || ());
-                    let cache = if mirror_inserted {
+                    // The mirror answers first, so the status (and with it
+                    // the connection's bytes) never depends on other
+                    // clients; the shared cache only dedups the compute.
+                    let (_, mirror_inserted) = mirror.get_or_insert_with(&plan.key, || ());
+                    let mut job = shared.core.admit(id, &job, &plan, || start);
+                    job.cache = if mirror_inserted {
                         CacheStatus::Miss
                     } else {
                         CacheStatus::Hit
                     };
-                    let (slot, inserted) = shared
-                        .cache
-                        .get_or_insert_with(plan.key.clone(), || Arc::new(RouteSlot::default()));
-                    if inserted {
-                        let budget = match deadline {
-                            None => RouteBudget::unlimited(),
-                            Some(at) => RouteBudget::unlimited()
-                                .deadline(at)
-                                .cancel_token(slot.cancel_token()),
-                        };
-                        shared.pool.dispatch(WorkItem {
-                            topology: plan.canonical.topology.clone(),
-                            pi: plan.canonical.pi.clone(),
-                            router: plan.router.clone(),
-                            slot: Arc::clone(&slot),
-                            timing: false,
-                            key: plan.key,
-                            budget,
-                            deadline_ms,
-                        });
-                    }
-                    ConnItem::Wait {
-                        id,
-                        side: job.side,
-                        v: job.v,
-                        router: plan.router.label(),
-                        cache,
-                        lower_bound: plan.lower_bound,
-                        slot,
-                        start,
-                        deadline,
-                        deadline_ms,
-                        dispatched: inserted,
-                    }
+                    ConnItem::Wait { job, start }
                 }
             },
         };
@@ -706,81 +670,24 @@ fn write_outcomes(
         out: std::io::BufWriter::new(stream),
         broken: false,
         written: 0,
-        drop_plan: shared.pool.chaos().take_connection_drop(),
+        drop_plan: shared.core.pool.chaos().take_connection_drop(),
     };
     for item in receiver.iter() {
-        match item {
-            ConnItem::Control(line) => writer.emit(line),
-            ConnItem::Ready { outcome, counted, start } => {
-                writer.emit(outcome.to_json_line());
-                if counted {
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.stats.in_flight.dec();
-                }
-                shared.stats.record_latency(start);
+        let (outcome, counted, start) = match item {
+            ConnItem::Control(line) => {
+                writer.emit(line);
+                continue;
             }
-            ConnItem::Wait {
-                id,
-                side,
-                v,
-                router,
-                cache,
-                lower_bound,
-                slot,
-                start,
-                deadline,
-                deadline_ms,
-                dispatched,
-            } => {
-                let waited = match deadline {
-                    None => slot.wait(),
-                    Some(at) => match slot.wait_until(at) {
-                        Some(result) => result,
-                        None => {
-                            // The deadline passed mid-compute. Cancel the
-                            // compute only if this connection dispatched
-                            // it: another connection's hit must not poison
-                            // a compute it merely shares.
-                            if dispatched {
-                                slot.cancel();
-                            }
-                            Err(ServiceError::Timeout { deadline_ms: deadline_ms.unwrap_or(0) })
-                        }
-                    },
-                };
-                let outcome = match waited {
-                    Err(e) => {
-                        if matches!(e, ServiceError::Timeout { .. }) {
-                            shared.stats.timeouts.inc();
-                        }
-                        shared.stats.jobs_errored.inc();
-                        RouteOutcome::from_error(id, Some(side), v, &e)
-                    }
-                    Ok(entry) => {
-                        shared.stats.jobs_routed.inc();
-                        RouteOutcome {
-                            v,
-                            id,
-                            side: Some(side),
-                            router: Some(router.to_string()),
-                            cache: Some(cache.as_str().to_string()),
-                            // Depth and size are replay-invariant, so the
-                            // canonical schedule answers without replaying.
-                            depth: Some(entry.schedule.depth()),
-                            size: Some(entry.schedule.size()),
-                            lower_bound: Some(lower_bound),
-                            time_ms: None,
-                            code: None,
-                            error: None,
-                        }
-                    }
-                };
-                writer.emit(outcome.to_json_line());
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                shared.stats.in_flight.dec();
-                shared.stats.record_latency(start);
-            }
+            ConnItem::Ready { outcome, counted, start } => (outcome, counted, start),
+            ConnItem::Wait { job, start } => (job.outcome(&job.wait()), true, start),
+        };
+        shared.stats.count(&outcome);
+        writer.emit(outcome.to_json_line());
+        if counted {
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            shared.stats.in_flight.dec();
         }
+        shared.stats.record_latency(start);
     }
 }
 

@@ -1,20 +1,31 @@
-//! The batched multi-worker routing engine.
+//! The batched multi-worker routing engine, and the admission path it
+//! shares with every daemon connection.
 //!
 //! Architecture, in job order on the *submit* side and job-id order on
 //! the *collect* side:
 //!
 //! ```text
 //!  submit (caller thread, strictly in input order)
-//!    parse/resolve → auto-dispatch → canonicalize → cache decision
-//!        ├─ hit:  attach the cached slot (maybe still in flight)
-//!        └─ miss: insert a fresh slot, push the canonical instance
-//!                 onto the bounded work queue  ── backpressure ──┐
-//!  workers (std threads)                                         │
-//!    pop canonical instance → route → fill its slot  ◄───────────┘
+//!    parse/resolve → auto-dispatch → canonicalize          (plan_route)
+//!    → Core::admit: deadline from submission → one compute-cache
+//!      get_or_insert
+//!        ├─ hit:      attach the cached slot (maybe still in flight)
+//!        └─ inserted: arm a budget if a deadline applies, push the
+//!                     canonical instance onto the bounded work queue
+//!                     ── backpressure ──┐
+//!  workers (std threads)                │
+//!    pop canonical instance → route → fill its slot  ◄──┘
 //!  collect (caller thread, strictly in job-id order)
-//!    wait on each job's slot → replay through the inverse symmetry
-//!    → emit RouteOutcome
+//!    Admitted::wait (deadline; cancel only a compute this job
+//!    dispatched) → replay through the inverse symmetry
+//!    → Admitted::outcome
 //! ```
+//!
+//! A daemon connection admits, awaits and answers its jobs through the
+//! same `Core::admit`, `Admitted::wait` and `Admitted::outcome`. What
+//! differs stays with each front end: the daemon's deadline counts from
+//! when it took the line, its status comes from the connection's mirror
+//! cache, and it answers without replaying.
 //!
 //! **Every cache decision happens on the submit thread, in input
 //! order.** That single invariant is what makes the engine
@@ -228,6 +239,7 @@ pub(crate) struct RoutedEntry {
 pub(crate) struct RouteSlot {
     filled: Mutex<Option<Result<RoutedEntry, ServiceError>>>,
     ready: Condvar,
+    /// The token a deadline-armed compute of this slot watches.
     cancel: CancelToken,
 }
 
@@ -239,18 +251,7 @@ impl RouteSlot {
         self.ready.notify_all();
     }
 
-    /// The token the deadline-armed compute of this slot watches.
-    pub(crate) fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Ask the compute filling this slot to give up at its next
-    /// cooperative checkpoint.
-    pub(crate) fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    pub(crate) fn wait(&self) -> Result<RoutedEntry, ServiceError> {
+    fn wait(&self) -> Result<RoutedEntry, ServiceError> {
         let mut slot = self.filled.lock().expect("slot poisoned");
         while slot.is_none() {
             slot = self.ready.wait(slot).expect("slot poisoned");
@@ -261,10 +262,7 @@ impl RouteSlot {
     /// [`RouteSlot::wait`] with a deadline. `None` means the deadline
     /// passed with the slot still empty; the slot itself stays valid —
     /// its compute may still fill it for later waiters.
-    pub(crate) fn wait_until(
-        &self,
-        deadline: Instant,
-    ) -> Option<Result<RoutedEntry, ServiceError>> {
+    fn wait_until(&self, deadline: Instant) -> Option<Result<RoutedEntry, ServiceError>> {
         let mut slot = self.filled.lock().expect("slot poisoned");
         loop {
             if let Some(value) = slot.as_ref() {
@@ -565,12 +563,6 @@ impl WorkerPool {
             .expect("workers outlive the pool");
     }
 
-    /// Make workers fill every still-queued slot with
-    /// [`ServiceError::Shutdown`] instead of routing it.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
     /// How many crashed workers the supervisor has respawned.
     pub(crate) fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::SeqCst)
@@ -585,10 +577,10 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel wakes idle workers; the flag makes busy
-        // ones drain queued items without routing them. The supervisor
-        // joins every worker (original, respawned, or drainer) before
-        // exiting itself.
-        self.begin_shutdown();
+        // ones fill every still-queued slot with `shutdown` instead of
+        // routing it. The supervisor joins every worker (original,
+        // respawned, or drainer) before exiting itself.
+        self.shutdown.store(true, Ordering::SeqCst);
         self.sender.take();
         if let Some(control) = self.control.take() {
             let _ = control.send(SupervisorMsg::Stop);
@@ -657,29 +649,156 @@ pub(crate) fn plan_route(
     Ok(RoutePlan { router, lower_bound, canonical: Box::new(canonical), key, topology, pi })
 }
 
-/// A submitted-but-not-yet-collected job.
-struct PendingJob {
-    id: u64,
-    side: Option<usize>,
-    v: Option<u64>,
-    plan: Plan,
+/// The config, compute cache and worker pool behind the [`Engine`] and
+/// the daemon: the one place a planned job is admitted.
+pub(crate) struct Core {
+    pub(crate) config: EngineConfig,
+    /// One routed or in-flight slot per canonical key.
+    pub(crate) cache: Arc<ShardedLru<Arc<RouteSlot>>>,
+    pub(crate) pool: WorkerPool,
 }
 
-enum Plan {
-    Error(ServiceError),
+impl Core {
+    /// Spawn the worker pool over a fresh compute cache.
+    pub(crate) fn new(config: EngineConfig) -> Core {
+        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
+        Core { pool: WorkerPool::spawn(&config, Arc::clone(&cache)), cache, config }
+    }
+
+    /// Admit planned job `id`: fix its deadline (the job's `deadline_ms`,
+    /// else the configured default) from the instant `since` returns,
+    /// which is read only when a deadline applies; make the job's one
+    /// compute-cache decision; and dispatch its canonical instance when
+    /// that decision inserted the key. The admitted job's cache status is
+    /// the insertion.
+    pub(crate) fn admit(
+        &self,
+        id: u64,
+        job: &RouteJob,
+        plan: &RoutePlan,
+        since: impl FnOnce() -> Instant,
+    ) -> Admitted {
+        let deadline = (job.deadline_ms.or(self.config.default_deadline_ms))
+            .map(|ms| (since() + Duration::from_millis(ms), ms));
+        let (slot, dispatched) = self
+            .cache
+            .get_or_insert_with(&plan.key, || Arc::new(RouteSlot::default()));
+        if dispatched {
+            // Unbounded jobs keep the zero-overhead routing path: no
+            // deadline means nobody ever cancels, so the budget stays
+            // unarmed.
+            let budget = match deadline {
+                None => RouteBudget::unlimited(),
+                Some((at, _)) => RouteBudget::unlimited()
+                    .deadline(at)
+                    .cancel_token(slot.cancel.clone()),
+            };
+            self.pool.dispatch(WorkItem {
+                topology: plan.canonical.topology.clone(),
+                pi: plan.canonical.pi.clone(),
+                router: plan.router.clone(),
+                slot: Arc::clone(&slot),
+                timing: self.config.timing,
+                key: plan.key.clone(),
+                budget,
+                deadline_ms: deadline.map(|(_, ms)| ms),
+            });
+        }
+        Admitted {
+            id,
+            side: job.side,
+            v: job.v,
+            router: plan.router.label(),
+            cache: if dispatched {
+                CacheStatus::Miss
+            } else {
+                CacheStatus::Hit
+            },
+            lower_bound: plan.lower_bound,
+            timing: self.config.timing,
+            slot,
+            dispatched,
+            deadline,
+        }
+    }
+}
+
+/// A job [`Core::admit`] let in: what its outcome reports and the
+/// (possibly shared) slot it waits on. It holds no canonical form and no
+/// permutation.
+pub(crate) struct Admitted {
+    id: u64,
+    side: usize,
+    v: Option<u64>,
+    router: &'static str,
+    /// The reported status: whether the compute cache inserted the key,
+    /// unless the front end reports another source (the daemon reports
+    /// its connection's mirror cache).
+    pub(crate) cache: CacheStatus,
+    lower_bound: usize,
+    timing: bool,
+    slot: Arc<RouteSlot>,
+    /// Whether this job dispatched the slot's compute.
+    dispatched: bool,
+    /// When to stop waiting, and the same deadline in milliseconds for
+    /// the `timeout` payload.
+    deadline: Option<(Instant, u64)>,
+}
+
+impl Admitted {
+    /// Wait on the slot until the job's deadline. When the deadline
+    /// passes mid-compute, cancel the compute only if this job dispatched
+    /// it: a cache hit's waiter must not poison the compute another job
+    /// is still entitled to.
+    pub(crate) fn wait(&self) -> Result<RoutedEntry, ServiceError> {
+        let Some((at, deadline_ms)) = self.deadline else {
+            return self.slot.wait();
+        };
+        self.slot.wait_until(at).unwrap_or_else(|| {
+            if self.dispatched {
+                self.slot.cancel.cancel();
+            }
+            Err(ServiceError::Timeout { deadline_ms })
+        })
+    }
+
+    /// The job's outcome line, from what [`Admitted::wait`] returned.
+    pub(crate) fn outcome(&self, waited: &Result<RoutedEntry, ServiceError>) -> RouteOutcome {
+        let entry = match waited {
+            Err(e) => return RouteOutcome::from_error(self.id, Some(self.side), self.v, e),
+            Ok(entry) => entry,
+        };
+        RouteOutcome {
+            v: self.v,
+            id: self.id,
+            side: Some(self.side),
+            router: Some(self.router.to_string()),
+            cache: Some(self.cache.as_str().to_string()),
+            // Depth and size are replay-invariant, so the canonical
+            // schedule answers without replaying.
+            depth: Some(entry.schedule.depth()),
+            size: Some(entry.schedule.size()),
+            lower_bound: Some(self.lower_bound),
+            time_ms: self.timing.then_some(match self.cache {
+                CacheStatus::Miss => entry.route_ms,
+                CacheStatus::Hit => 0.0,
+            }),
+            code: None,
+            error: None,
+        }
+    }
+}
+
+/// A submitted-but-not-yet-collected job.
+enum Pending {
+    /// A job that failed before admission, answered as it was submitted.
+    Error(RouteOutcome),
+    /// An admitted job, with what replaying its schedule reads.
     Route {
-        router: &'static str,
-        cache: CacheStatus,
-        lower_bound: usize,
+        job: Admitted,
         canonical: Box<CanonicalForm>,
         topology: Topology,
         pi: Permutation,
-        slot: Arc<RouteSlot>,
-        /// When to stop waiting on the slot (job deadline, or the
-        /// engine-wide default), fixed at submission time.
-        deadline: Option<Instant>,
-        /// The same deadline in milliseconds, for the error payload.
-        deadline_ms: Option<u64>,
     },
 }
 
@@ -697,83 +816,34 @@ pub struct RouteResult {
 /// The routing engine: worker pool + canonical cache + deterministic
 /// reassembly.
 pub struct Engine {
-    config: EngineConfig,
-    cache: Arc<ShardedLru<Arc<RouteSlot>>>,
-    pool: WorkerPool,
+    core: Core,
     next_id: u64,
-    pending: VecDeque<PendingJob>,
+    pending: VecDeque<Pending>,
 }
 
 impl Engine {
     /// Spawn the worker pool.
     pub fn new(config: EngineConfig) -> Engine {
-        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
-        Engine {
-            pool: WorkerPool::spawn(&config, Arc::clone(&cache)),
-            cache,
-            config,
-            next_id: 0,
-            pending: VecDeque::new(),
-        }
+        Engine { core: Core::new(config), next_id: 0, pending: VecDeque::new() }
     }
 
     /// Submit one job; returns its id (0-based submission index). Blocks
     /// when the work queue is full (backpressure). All cache and
-    /// dispatch decisions happen here, in submission order.
+    /// dispatch decisions happen here, in submission order; a deadline
+    /// counts from here.
     pub fn submit(&mut self, job: &RouteJob) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let plan = match plan_route(job, &self.config.default_router) {
-            Err(e) => Plan::Error(e),
-            Ok(plan) => {
-                let deadline_ms = job.deadline_ms.or(self.config.default_deadline_ms);
-                let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let (cache, slot) = match self.cache.get(&plan.key) {
-                    Some(slot) => (CacheStatus::Hit, slot),
-                    None => {
-                        let slot = Arc::new(RouteSlot::default());
-                        // A zero-capacity cache stores nothing: skip the
-                        // key clone its insert would drop.
-                        if self.cache.capacity() > 0 {
-                            self.cache.insert(plan.key.clone(), Arc::clone(&slot));
-                        }
-                        // Unbounded jobs keep the zero-overhead routing
-                        // path: no deadline means nobody ever cancels, so
-                        // the budget stays unarmed.
-                        let budget = match deadline {
-                            None => RouteBudget::unlimited(),
-                            Some(at) => RouteBudget::unlimited()
-                                .deadline(at)
-                                .cancel_token(slot.cancel_token()),
-                        };
-                        self.pool.dispatch(WorkItem {
-                            topology: plan.canonical.topology.clone(),
-                            pi: plan.canonical.pi.clone(),
-                            router: plan.router.clone(),
-                            slot: Arc::clone(&slot),
-                            timing: self.config.timing,
-                            key: plan.key,
-                            budget,
-                            deadline_ms,
-                        });
-                        (CacheStatus::Miss, slot)
-                    }
-                };
-                Plan::Route {
-                    router: plan.router.label(),
-                    cache,
-                    lower_bound: plan.lower_bound,
+        self.pending
+            .push_back(match plan_route(job, &self.core.config.default_router) {
+                Err(e) => Pending::Error(RouteOutcome::from_error(id, Some(job.side), job.v, &e)),
+                Ok(plan) => Pending::Route {
+                    job: self.core.admit(id, job, &plan, Instant::now),
                     canonical: plan.canonical,
                     topology: plan.topology,
                     pi: plan.pi,
-                    slot,
-                    deadline,
-                    deadline_ms,
-                }
-            }
-        };
-        self.pending
-            .push_back(PendingJob { id, side: Some(job.side), v: job.v, plan });
+                },
+            });
         qroute_obs::trace::event(
             "engine.submit",
             &[
@@ -793,8 +863,8 @@ impl Engine {
     pub fn submit_error(&mut self, error: ServiceError) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.pending
-            .push_back(PendingJob { id, side: None, v: None, plan: Plan::Error(error) });
+        let outcome = RouteOutcome::from_error(id, None, None, &error);
+        self.pending.push_back(Pending::Error(outcome));
         id
     }
 
@@ -802,72 +872,20 @@ impl Engine {
     /// ready. Returns `None` when everything submitted has been
     /// collected. Results always come back in job-id order.
     pub fn collect_next(&mut self) -> Option<RouteResult> {
-        let job = self.pending.pop_front()?;
-        Some(match job.plan {
-            Plan::Error(error) => RouteResult {
-                outcome: RouteOutcome::from_error(job.id, job.side, job.v, &error),
-                schedule: None,
-            },
-            Plan::Route {
-                router,
-                cache,
-                lower_bound,
-                canonical,
-                topology,
-                pi,
-                slot,
-                deadline,
-                deadline_ms,
-            } => {
-                let waited = match deadline {
-                    None => slot.wait(),
-                    Some(at) => match slot.wait_until(at) {
-                        Some(result) => result,
-                        None => {
-                            // The deadline passed mid-compute. Cancel the
-                            // compute only if this job dispatched it: a
-                            // cache hit's waiter must not poison the
-                            // compute another job is still entitled to.
-                            if matches!(cache, CacheStatus::Miss) {
-                                slot.cancel();
-                            }
-                            Err(ServiceError::Timeout { deadline_ms: deadline_ms.unwrap_or(0) })
-                        }
-                    },
-                };
-                match waited {
-                    Err(e) => RouteResult {
-                        outcome: RouteOutcome::from_error(job.id, job.side, job.v, &e),
-                        schedule: None,
-                    },
-                    Ok(entry) => {
-                        let schedule = canonical.replay(&entry.schedule);
-                        debug_assert!(
-                            schedule.realizes(&pi),
-                            "replayed schedule must realize the job's permutation"
-                        );
-                        debug_assert!(schedule.validate_on(&topology.graph()).is_ok());
-                        RouteResult {
-                            outcome: RouteOutcome {
-                                v: job.v,
-                                id: job.id,
-                                side: job.side,
-                                router: Some(router.to_string()),
-                                cache: Some(cache.as_str().to_string()),
-                                depth: Some(entry.schedule.depth()),
-                                size: Some(entry.schedule.size()),
-                                lower_bound: Some(lower_bound),
-                                time_ms: self.config.timing.then_some(match cache {
-                                    CacheStatus::Miss => entry.route_ms,
-                                    CacheStatus::Hit => 0.0,
-                                }),
-                                code: None,
-                                error: None,
-                            },
-                            schedule: Some(schedule),
-                        }
-                    }
-                }
+        Some(match self.pending.pop_front()? {
+            Pending::Error(outcome) => RouteResult { outcome, schedule: None },
+            Pending::Route { job, canonical, topology, pi } => {
+                let waited = job.wait();
+                let schedule = waited.as_ref().ok().map(|entry| {
+                    let schedule = canonical.replay(&entry.schedule);
+                    debug_assert!(
+                        schedule.realizes(&pi),
+                        "replayed schedule must realize the job's permutation"
+                    );
+                    debug_assert!(schedule.validate_on(&topology.graph()).is_ok());
+                    schedule
+                });
+                RouteResult { outcome: job.outcome(&waited), schedule }
             }
         })
     }
@@ -922,31 +940,22 @@ impl Engine {
     /// Cache counters since engine construction (snapshot-diff with
     /// [`CacheStats::since`] for per-batch numbers).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.core.cache.stats()
     }
 
     /// How many crashed workers the pool's supervisor has respawned.
     pub fn worker_restarts(&self) -> u64 {
-        self.pool.restarts()
+        self.core.pool.restarts()
     }
 
     /// Live fault-injection counters (all zero when chaos is disarmed).
     pub fn chaos(&self) -> &ChaosState {
-        self.pool.chaos()
+        self.core.pool.chaos()
     }
 
     /// The configuration the engine was built with.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // The pool's own Drop closes the queue and joins the workers;
-        // flagging first makes busy workers drain queued items without
-        // routing them, so dropping mid-queue cannot deadlock.
-        self.pool.begin_shutdown();
+        &self.core.config
     }
 }
 

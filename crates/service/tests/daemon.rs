@@ -5,12 +5,13 @@
 //! flooding client, and `stats`/`shutdown` control requests must work
 //! over the wire with a full graceful drain.
 
-use qroute_service::{Client, Daemon, Engine, EngineConfig, RouteJob};
+use qroute_service::{CacheStats, Client, Daemon, Engine, EngineConfig, RouteJob};
 
-/// The reference bytes: the same lines through the in-process engine,
-/// default (untimed) configuration — what `repro batch` would emit.
-fn engine_reference(lines: &[String]) -> String {
-    let mut engine = Engine::new(EngineConfig::builder().build().unwrap());
+/// The reference bytes: the same lines through the in-process engine
+/// under `config` — what `repro batch` would emit — with the engine's
+/// cache counters.
+fn engine_reference(lines: &[String], config: EngineConfig) -> (String, CacheStats) {
+    let mut engine = Engine::new(config);
     for line in lines {
         match RouteJob::from_json_line(line) {
             Ok(job) => engine.submit(&job),
@@ -22,7 +23,7 @@ fn engine_reference(lines: &[String]) -> String {
         out.push_str(&result.outcome.to_json_line());
         out.push('\n');
     }
-    out
+    (out, engine.cache_stats())
 }
 
 /// A per-client job stream: every router and class, seed reuse for
@@ -75,7 +76,9 @@ fn concurrent_clients_each_match_the_single_threaded_batch_bytes() {
             std::thread::spawn(move || {
                 let lines = job_lines(c, JOBS);
                 let mut client = Client::connect(addr).expect("connect");
-                (daemon_bytes(&mut client, &lines), engine_reference(&lines))
+                let (reference, _) =
+                    engine_reference(&lines, EngineConfig::builder().build().unwrap());
+                (daemon_bytes(&mut client, &lines), reference)
             })
         })
         .collect();
@@ -133,6 +136,45 @@ fn shared_cache_dedups_across_connections_without_changing_bytes() {
         2 * (solo.cache_hits + solo.cache_misses),
         "every planned job makes exactly one shared-cache lookup"
     );
+}
+
+#[test]
+fn each_connection_evicts_its_mirror_exactly_as_the_engine_evicts() {
+    // 8 entries over 8 shards: one key per shard, so the engine, both
+    // connections' mirrors and the shared cache all evict, and a
+    // connection's statuses follow the engine's LRU order only if its
+    // mirror keeps it.
+    let config = || {
+        EngineConfig::builder()
+            .cache_capacity(8)
+            .cache_shards(8)
+            .build()
+            .unwrap()
+    };
+    let hot = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/jobs_hot.jsonl");
+    let hot = std::fs::read_to_string(hot).expect("the hot example");
+    for lines in [job_lines(0, 60), hot.lines().map(str::to_string).collect()] {
+        let (reference, stats) = engine_reference(&lines, config());
+        assert!(stats.evictions > 0 && stats.hits > 0, "{stats:?}");
+        let daemon = Daemon::bind("127.0.0.1:0", config()).unwrap();
+        let addr = daemon.local_addr();
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let lines = lines.clone();
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    daemon_bytes(&mut client, &lines)
+                })
+            })
+            .collect();
+        for handle in handles {
+            assert_eq!(
+                handle.join().expect("client thread"),
+                reference,
+                "a connection's bytes diverged from the evicting engine"
+            );
+        }
+    }
 }
 
 #[test]
@@ -318,7 +360,8 @@ fn a_client_dying_mid_stream_leaves_the_daemon_healthy() {
     // client's stream was fully computed, so replaying it adds no new
     // misses — and the bytes still match the single-threaded batch.
     let mut client = Client::connect(addr).expect("connect after the kill");
-    assert_eq!(daemon_bytes(&mut client, &lines), engine_reference(&lines));
+    let (reference, _) = engine_reference(&lines, EngineConfig::builder().build().unwrap());
+    assert_eq!(daemon_bytes(&mut client, &lines), reference);
     let stats = daemon.stats();
     assert_eq!(
         stats.cache_misses, after_kill.cache_misses,
